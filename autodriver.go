@@ -81,8 +81,6 @@ func (s *autoSolver) Name() string { return "AUTO" }
 // Solve routes the instance per the calibration table and runs the
 // chosen configuration(s).
 func (s *autoSolver) Solve(ctx context.Context, in *problem.Instance) (core.Result, error) {
-	ctx, cancel := s.opts.budget().Apply(ctx)
-	defer cancel()
 	pickStart := time.Now()
 	dec := s.cal.Pick(in.Kind, in.N(), in.MachineCount())
 	pickWall := time.Since(pickStart)

@@ -38,11 +38,11 @@ func BenchmarkAblationPTimeAccess(b *testing.B) {
 			var sim float64
 			var cost int64
 			for i := 0; i < b.N; i++ {
-				res := (&parallel.GPUSA{
-					Inst: in, SA: sa.Config{Iterations: benchItersLow, TempSamples: benchTemp},
+				res := solveOK(b, &parallel.GPUSA{
+					SA:   sa.Config{Iterations: benchItersLow, TempSamples: benchTemp},
 					Grid: benchGrid, Block: benchBlock, Seed: 1,
 					PTimeAccess: mode.mode,
-				}).MustSolve()
+				}, in)
 				sim = res.SimSeconds
 				cost = res.BestCost
 			}
@@ -61,11 +61,11 @@ func BenchmarkAblationReduceEvery(b *testing.B) {
 		b.Run(fmt.Sprintf("every%d", every), func(b *testing.B) {
 			var sim float64
 			for i := 0; i < b.N; i++ {
-				res := (&parallel.GPUSA{
-					Inst: in, SA: sa.Config{Iterations: benchItersLow, TempSamples: benchTemp},
+				res := solveOK(b, &parallel.GPUSA{
+					SA:   sa.Config{Iterations: benchItersLow, TempSamples: benchTemp},
 					Grid: benchGrid, Block: benchBlock, Seed: 1,
 					ReduceEvery: every,
-				}).MustSolve()
+				}, in)
 				sim = res.SimSeconds
 			}
 			b.ReportMetric(sim*1e3, "sim-ms")
@@ -84,10 +84,10 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 		b.Run(fmt.Sprintf("grid%dx%d", shape.grid, shape.block), func(b *testing.B) {
 			var sim float64
 			for i := 0; i < b.N; i++ {
-				res := (&parallel.GPUSA{
-					Inst: in, SA: sa.Config{Iterations: 40, TempSamples: benchTemp},
+				res := solveOK(b, &parallel.GPUSA{
+					SA:   sa.Config{Iterations: 40, TempSamples: benchTemp},
 					Grid: shape.grid, Block: shape.block, Seed: 1,
-				}).MustSolve()
+				}, in)
 				sim = res.SimSeconds
 			}
 			b.ReportMetric(sim*1e3, "sim-ms")
@@ -111,11 +111,11 @@ func BenchmarkAblationDPSOCommunication(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var dev float64
 			for i := 0; i < b.N; i++ {
-				res := (&parallel.GPUDPSO{
-					Inst: in, PSO: dpso.Config{Iterations: benchItersLow},
+				res := solveOK(b, &parallel.GPUDPSO{
+					PSO:  dpso.Config{Iterations: benchItersLow},
 					Grid: benchGrid, Block: benchBlock, Seed: uint64(i) + 1,
 					ShareSwarmBest: mode.share,
-				}).MustSolve()
+				}, in)
 				dev = core.PercentDeviation(res.BestCost, ref)
 			}
 			b.ReportMetric(dev, "%Δ")
@@ -140,11 +140,11 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var dev float64
 			for i := 0; i < b.N; i++ {
-				res := (&parallel.GPUSA{
-					Inst: in, SA: sa.Config{Iterations: benchItersLow, TempSamples: benchTemp},
+				res := solveOK(b, &parallel.GPUSA{
+					SA:   sa.Config{Iterations: benchItersLow, TempSamples: benchTemp},
 					Grid: benchGrid, Block: benchBlock, Seed: uint64(i) + 1,
 					InitialSeq: mode.init,
-				}).MustSolve()
+				}, in)
 				dev = core.PercentDeviation(res.BestCost, ref)
 			}
 			b.ReportMetric(dev, "%Δ")
@@ -162,10 +162,10 @@ func BenchmarkAblationCooling(b *testing.B) {
 		b.Run(fmt.Sprintf("mu%.2f", mu), func(b *testing.B) {
 			var dev float64
 			for i := 0; i < b.N; i++ {
-				res := (&parallel.GPUSA{
-					Inst: in, SA: sa.Config{Iterations: benchItersLow, Cooling: mu, TempSamples: benchTemp},
+				res := solveOK(b, &parallel.GPUSA{
+					SA:   sa.Config{Iterations: benchItersLow, Cooling: mu, TempSamples: benchTemp},
 					Grid: benchGrid, Block: benchBlock, Seed: uint64(i) + 1,
-				}).MustSolve()
+				}, in)
 				dev = core.PercentDeviation(res.BestCost, ref)
 			}
 			b.ReportMetric(dev, "%Δ")
@@ -182,10 +182,10 @@ func BenchmarkAblationPert(b *testing.B) {
 		b.Run(fmt.Sprintf("pert%d", pert), func(b *testing.B) {
 			var dev float64
 			for i := 0; i < b.N; i++ {
-				res := (&parallel.GPUSA{
-					Inst: in, SA: sa.Config{Iterations: benchItersLow, Pert: pert, TempSamples: benchTemp},
+				res := solveOK(b, &parallel.GPUSA{
+					SA:   sa.Config{Iterations: benchItersLow, Pert: pert, TempSamples: benchTemp},
 					Grid: benchGrid, Block: benchBlock, Seed: uint64(i) + 1,
-				}).MustSolve()
+				}, in)
 				dev = core.PercentDeviation(res.BestCost, ref)
 			}
 			b.ReportMetric(dev, "%Δ")
@@ -207,11 +207,11 @@ func BenchmarkAblationCooperativeHostCost(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				(&parallel.GPUSA{
-					Inst: in, SA: sa.Config{Iterations: 20, TempSamples: 50},
+				solveOK(b, &parallel.GPUSA{
+					SA:   sa.Config{Iterations: 20, TempSamples: 50},
 					Grid: 2, Block: 32, Seed: 1,
 					Cooperative: mode.coop,
-				}).MustSolve()
+				}, in)
 			}
 		})
 	}
@@ -246,28 +246,6 @@ func BenchmarkAblationStreamOverlap(b *testing.B) {
 			}
 			d.Join(s1, s2)
 			sim = d.SimTime()
-		}
-		b.ReportMetric(sim*1e3, "sim-ms")
-	})
-}
-
-// BenchmarkAblationPersistentKernel compares the paper's four launches
-// per iteration against a single persistent kernel (identical results,
-// no per-iteration launch overhead).
-func BenchmarkAblationPersistentKernel(b *testing.B) {
-	in := benchInstance(b, problem.CDD, 50)
-	saCfg := sa.Config{Iterations: benchItersLow, TempSamples: benchTemp}
-	b.Run("four_kernels", func(b *testing.B) {
-		var sim float64
-		for i := 0; i < b.N; i++ {
-			sim = (&parallel.GPUSA{Inst: in, SA: saCfg, Grid: benchGrid, Block: benchBlock, Seed: 1}).MustSolve().SimSeconds
-		}
-		b.ReportMetric(sim*1e3, "sim-ms")
-	})
-	b.Run("persistent", func(b *testing.B) {
-		var sim float64
-		for i := 0; i < b.N; i++ {
-			sim = (&parallel.PersistentGPUSA{Inst: in, SA: saCfg, Grid: benchGrid, Block: benchBlock, Seed: 1}).MustSolve().SimSeconds
 		}
 		b.ReportMetric(sim*1e3, "sim-ms")
 	})

@@ -57,16 +57,26 @@ func benchInstance(b *testing.B, kind problem.Kind, size int) *problem.Instance 
 	return ins[len(ins)-1]
 }
 
+// solveOK runs an engine-layer solver on in under a background context,
+// failing on error.
+func solveOK(tb testing.TB, s core.Solver, in *problem.Instance) core.Result {
+	tb.Helper()
+	res, err := s.Solve(context.Background(), in)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func referenceCost(b *testing.B, in *problem.Instance) int64 {
 	b.Helper()
 	if v, ok := refCache.Load(in.Name); ok {
 		return v.(int64)
 	}
-	ref := (&parallel.AsyncSA{
-		Inst: in,
-		SA:   sa.Config{Iterations: benchItersHigh, TempSamples: benchTemp},
-		Ens:  parallel.Ensemble{Chains: 4, Seed: 99},
-	}).MustSolve()
+	ref := solveOK(b, &parallel.AsyncSA{
+		SA:  sa.Config{Iterations: benchItersHigh, TempSamples: benchTemp},
+		Ens: parallel.Ensemble{Chains: 4, Seed: 99},
+	}, in)
 	refCache.Store(in.Name, ref.BestCost)
 	return ref.BestCost
 }
@@ -83,15 +93,15 @@ func benchQuality(b *testing.B, kind problem.Kind, useDPSO bool, iters int) {
 			for i := 0; i < b.N; i++ {
 				var res core.Result
 				if useDPSO {
-					res = (&parallel.GPUDPSO{
-						Inst: in, PSO: dpso.Config{Iterations: iters},
+					res = solveOK(b, &parallel.GPUDPSO{
+						PSO:  dpso.Config{Iterations: iters},
 						Grid: benchGrid, Block: benchBlock, Seed: uint64(i) + 1,
-					}).MustSolve()
+					}, in)
 				} else {
-					res = (&parallel.GPUSA{
-						Inst: in, SA: sa.Config{Iterations: iters, TempSamples: benchTemp},
+					res = solveOK(b, &parallel.GPUSA{
+						SA:   sa.Config{Iterations: iters, TempSamples: benchTemp},
 						Grid: benchGrid, Block: benchBlock, Seed: uint64(i) + 1,
-					}).MustSolve()
+					}, in)
 				}
 				last = core.PercentDeviation(res.BestCost, ref)
 			}
@@ -150,14 +160,14 @@ func benchSpeedup(b *testing.B, kind problem.Kind) {
 			saCfg := sa.Config{Iterations: benchItersLow, TempSamples: benchTemp}
 			var wallSpeedup, simSpeedup float64
 			for i := 0; i < b.N; i++ {
-				serial := (&parallel.AsyncSA{
-					Inst: in, SA: saCfg,
+				serial := solveOK(b, &parallel.AsyncSA{
+					SA:  saCfg,
 					Ens: parallel.Ensemble{Chains: benchGrid * benchBlock, Seed: uint64(i) + 1},
-				}).MustSolve()
-				gpu := (&parallel.GPUSA{
-					Inst: in, SA: saCfg,
+				}, in)
+				gpu := solveOK(b, &parallel.GPUSA{
+					SA:   saCfg,
 					Grid: benchGrid, Block: benchBlock, Seed: uint64(i) + 1,
-				}).MustSolve()
+				}, in)
 				wallSpeedup = serial.Elapsed.Seconds() / gpu.Elapsed.Seconds()
 				simSpeedup = serial.Elapsed.Seconds() / gpu.SimSeconds
 			}
@@ -187,15 +197,15 @@ func benchRuntime(b *testing.B, kind problem.Kind, useDPSO bool) {
 			for i := 0; i < b.N; i++ {
 				var res core.Result
 				if useDPSO {
-					res = (&parallel.GPUDPSO{
-						Inst: in, PSO: dpso.Config{Iterations: benchItersLow},
+					res = solveOK(b, &parallel.GPUDPSO{
+						PSO:  dpso.Config{Iterations: benchItersLow},
 						Grid: benchGrid, Block: benchBlock, Seed: 1,
-					}).MustSolve()
+					}, in)
 				} else {
-					res = (&parallel.GPUSA{
-						Inst: in, SA: sa.Config{Iterations: benchItersLow, TempSamples: benchTemp},
+					res = solveOK(b, &parallel.GPUSA{
+						SA:   sa.Config{Iterations: benchItersLow, TempSamples: benchTemp},
 						Grid: benchGrid, Block: benchBlock, Seed: 1,
-					}).MustSolve()
+					}, in)
 				}
 				sim = res.SimSeconds
 			}

@@ -6,7 +6,7 @@
 //
 //	gpuprof -size 100 -iters 200 -trace timeline.json
 //	gpuprof -algo dpso -grid 4 -block 192 -kind ucddcp
-//	gpuprof -persistent -json BENCH_kernels.json
+//	gpuprof -json BENCH_kernels.json
 package main
 
 import (
@@ -52,7 +52,6 @@ func main() {
 	algo := duedate.SA
 	var (
 		kind        = flag.String("kind", "cdd", "problem: cdd or ucddcp")
-		persistent  = flag.Bool("persistent", false, "persistent-kernel SA engine (one launch, whole annealing loop)")
 		size        = flag.Int("size", 100, "benchmark instance size")
 		iters       = flag.Int("iters", 200, "iterations")
 		grid        = flag.Int("grid", 4, "blocks")
@@ -62,7 +61,7 @@ func main() {
 		tracePath   = flag.String("trace", "", "write a Chrome trace-event timeline to this file")
 		cooperative = flag.Bool("cooperative", false, "goroutine-per-thread barrier execution")
 	)
-	flag.Var(&algo, "algo", "algorithm: SA or DPSO (add -persistent for the persistent-kernel SA)")
+	flag.Var(&algo, "algo", "algorithm: SA or DPSO")
 	flag.Parse()
 
 	var (
@@ -100,15 +99,12 @@ func main() {
 	// always run with the highest instrumentation level.
 	saCfg := sa.Config{Iterations: *iters, TempSamples: 500}
 	var solver core.Solver
-	switch {
-	case algo == duedate.SA && *persistent:
-		solver = &parallel.PersistentGPUSA{Inst: inst, SA: saCfg, Grid: *grid, Block: *block,
-			Seed: *seed, Dev: dev, Metrics: duedate.MetricsKernels}
-	case algo == duedate.SA:
-		solver = &parallel.GPUSA{Inst: inst, SA: saCfg, Grid: *grid, Block: *block,
+	switch algo {
+	case duedate.SA:
+		solver = &parallel.GPUSA{SA: saCfg, Grid: *grid, Block: *block,
 			Seed: *seed, Dev: dev, Cooperative: *cooperative, Metrics: duedate.MetricsKernels}
-	case algo == duedate.DPSO:
-		solver = &parallel.GPUDPSO{Inst: inst, PSO: dpso.Config{Iterations: *iters},
+	case duedate.DPSO:
+		solver = &parallel.GPUDPSO{PSO: dpso.Config{Iterations: *iters},
 			Grid: *grid, Block: *block, Seed: *seed, Dev: dev, Cooperative: *cooperative,
 			Metrics: duedate.MetricsKernels}
 	default:
@@ -135,13 +131,9 @@ func main() {
 
 	if *jsonPath != "" {
 		h2d, d2h := dev.Profiler().Transfers()
-		name := algo.String()
-		if *persistent {
-			name = "SA-persistent"
-		}
 		doc := profile{
 			Instance:   inst.Name,
-			Algorithm:  name,
+			Algorithm:  algo.String(),
 			Grid:       *grid,
 			Block:      *block,
 			Iterations: *iters,

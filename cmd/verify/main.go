@@ -1,9 +1,9 @@
 // Command verify runs the cross-engine differential-verification
 // subsystem: seedable instance families through the evaluator-agreement
 // chain, the delta-walk protocol check, the metamorphic properties, the
-// exact oracles, and every registered algorithm×engine driver (plus the
-// persistent SA/GPU variant). It prints a human summary, optionally writes
-// the full JSON report, and exits nonzero if any discrepancy was found.
+// exact oracles, and every registered algorithm×engine driver. It prints a
+// human summary, optionally writes the full JSON report, and exits nonzero
+// if any discrepancy was found.
 //
 //	verify -trials 200
 //	verify -trials 50 -families uniform-cdd,d-zero -out report.json

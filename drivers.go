@@ -34,25 +34,18 @@ func saConfigFrom(o Options) sa.Config {
 }
 
 func init() {
-	// SA: the paper's GPU pipeline (four-kernel or persistent) and the
-	// CPU ensembles.
+	// SA: the paper's four-kernel GPU pipeline and the CPU ensembles.
 	RegisterDriver(SA, EngineGPU, func(o Options) core.Solver {
-		if o.Persistent {
-			return &parallel.PersistentGPUSA{
-				SA: saConfigFrom(o), Grid: o.Grid, Block: o.Block, Seed: o.Seed,
-				Budget: o.budget(), Progress: o.Progress, Metrics: o.Metrics,
-			}
-		}
 		return &parallel.GPUSA{
 			SA: saConfigFrom(o), Grid: o.Grid, Block: o.Block, Seed: o.Seed,
-			Budget: o.budget(), Progress: o.Progress, Metrics: o.Metrics,
+			Progress: o.Progress, Metrics: o.Metrics,
 		}
 	})
 	saCPU := func(parallelOK bool) Driver {
 		return func(o Options) core.Solver {
 			return &parallel.AsyncSA{
 				SA: saConfigFrom(o), Ens: ensembleFrom(o), Parallel: parallelOK,
-				Budget: o.budget(), Progress: o.Progress, Metrics: o.Metrics,
+				Progress: o.Progress, Metrics: o.Metrics,
 			}
 		}
 	}
@@ -63,14 +56,14 @@ func init() {
 	RegisterDriver(DPSO, EngineGPU, func(o Options) core.Solver {
 		return &parallel.GPUDPSO{
 			PSO: dpso.Config{Iterations: o.Iterations}, Grid: o.Grid, Block: o.Block,
-			Seed: o.Seed, Budget: o.budget(), Progress: o.Progress, Metrics: o.Metrics,
+			Seed: o.Seed, Progress: o.Progress, Metrics: o.Metrics,
 		}
 	})
 	dpsoCPU := func(parallelOK bool) Driver {
 		return func(o Options) core.Solver {
 			return &parallel.ParallelDPSO{
 				PSO: dpso.Config{Iterations: o.Iterations}, Ens: ensembleFrom(o),
-				Parallel: parallelOK, Budget: o.budget(), Progress: o.Progress, Metrics: o.Metrics,
+				Parallel: parallelOK, Progress: o.Progress, Metrics: o.Metrics,
 			}
 		}
 	}
@@ -86,8 +79,7 @@ func init() {
 			cfg := ta.Config{Iterations: o.Iterations, TempSamples: o.TempSamples}
 			return &parallel.ChainEnsemble{
 				Label: "TA", Ens: ensembleFrom(o), Parallel: parallelOK,
-				Iterations: o.Iterations, Budget: o.budget(), Progress: o.Progress,
-				Metrics: o.Metrics,
+				Iterations: o.Iterations, Progress: o.Progress, Metrics: o.Metrics,
 				NewChain: func(inst *problem.Instance, _ int, rng *xrand.XORWOW) parallel.Chain {
 					return ta.NewChain(cfg, core.NewEvaluator(inst), rng)
 				},
@@ -105,8 +97,7 @@ func init() {
 			}
 			return &parallel.ChainEnsemble{
 				Label: "ES", Ens: ensembleFrom(o), Parallel: parallelOK,
-				Iterations: o.Iterations, Budget: o.budget(), Progress: o.Progress,
-				Metrics: o.Metrics,
+				Iterations: o.Iterations, Progress: o.Progress, Metrics: o.Metrics,
 				NewChain: func(inst *problem.Instance, _ int, rng *xrand.XORWOW) parallel.Chain {
 					return es.New(cfg, core.NewEvaluator(inst), rng)
 				},

@@ -3,6 +3,7 @@ package duedate_test
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -214,26 +215,6 @@ func TestEnumStrings(t *testing.T) {
 	}
 }
 
-func TestSolvePersistentEngine(t *testing.T) {
-	in := duedate.PaperExample(duedate.CDD)
-	opts := duedate.Options{Iterations: 80, Grid: 1, Block: 8, TempSamples: 50}
-	normal, err := duedate.Solve(in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Persistent = true
-	pers, err := duedate.Solve(in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if normal.BestCost != pers.BestCost {
-		t.Errorf("persistent engine differs: %d vs %d", pers.BestCost, normal.BestCost)
-	}
-	if pers.SimSeconds >= normal.SimSeconds {
-		t.Errorf("persistent engine not faster: %g vs %g", pers.SimSeconds, normal.SimSeconds)
-	}
-}
-
 func TestOptionsRejectNegativeGeometry(t *testing.T) {
 	in := duedate.PaperExample(duedate.CDD)
 	cases := []duedate.Options{
@@ -314,25 +295,49 @@ func TestSolveContextCancellation(t *testing.T) {
 	}
 }
 
+// TestDeadlineOptionInterrupts: SolveContext is the one place
+// Options.Deadline is applied, so every registered pairing must honour an
+// already-expired deadline on every kind it declares — Interrupted set,
+// and a genome that re-evaluates to the reported cost.
 func TestDeadlineOptionInterrupts(t *testing.T) {
-	in := duedate.PaperExample(duedate.CDD)
-	res, err := duedate.Solve(in, duedate.Options{
-		Algorithm: duedate.SA, Engine: duedate.EngineCPUSerial,
-		Iterations: 1 << 20, Grid: 2, Block: 16, TempSamples: 50,
-		Deadline: time.Now().Add(-time.Second),
-	})
+	earlyWork, err := duedate.NewEarlyWorkInstance("deadline-earlywork", []int{6, 5, 2, 4, 4}, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Interrupted {
-		t.Fatal("expired Deadline did not report Interrupted")
+	instances := map[duedate.Kind]*duedate.Instance{
+		duedate.CDD:       duedate.PaperExample(duedate.CDD),
+		duedate.UCDDCP:    duedate.PaperExample(duedate.UCDDCP),
+		duedate.EARLYWORK: earlyWork,
 	}
-	got, err := duedate.Cost(in, res.BestSeq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != res.BestCost {
-		t.Errorf("interrupted best reported %d, evaluates to %d", res.BestCost, got)
+	for _, p := range duedate.Pairings() {
+		for _, kind := range p.Kinds {
+			in := instances[kind]
+			if p.Algorithm == duedate.ExactDP && kind == duedate.CDD {
+				// The paper example has no agreeable ratio order, which
+				// the DP would decline before it looks at the deadline.
+				in = agreeableInstance(t, "deadline-agreeable", 12, false)
+			}
+			t.Run(p.Algorithm.String()+"/"+p.Engine.String()+"/"+kind.String(), func(t *testing.T) {
+				res, err := duedate.Solve(in, duedate.Options{
+					Algorithm: p.Algorithm, Engine: p.Engine,
+					Iterations: 1 << 20, Grid: 2, Block: 16, TempSamples: 50,
+					Deadline: time.Now().Add(-time.Second),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Interrupted {
+					t.Fatal("expired Deadline did not report Interrupted")
+				}
+				got, err := duedate.Cost(in, res.BestSeq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != res.BestCost {
+					t.Errorf("interrupted best reported %d, evaluates to %d", res.BestCost, got)
+				}
+			})
+		}
 	}
 }
 
@@ -398,6 +403,7 @@ func TestSolveContextOptionValidation(t *testing.T) {
 		{"negative-workers", duedate.Options{Engine: duedate.EngineCPUSerial, Workers: -1}},
 		{"negative-grid-cpu", duedate.Options{Engine: duedate.EngineCPUParallel, Grid: -4}},
 		{"all-negative", duedate.Options{Grid: -1, Block: -1, Workers: -1}},
+		{"non-finite-cooling", duedate.Options{Cooling: math.NaN()}},
 	}
 	for _, tc := range cases {
 		for _, algo := range []duedate.Algorithm{duedate.SA, duedate.DPSO, duedate.TA, duedate.ES} {

@@ -41,8 +41,6 @@ func (s *exactDPSolver) Name() string { return "EXACT-DP" }
 // work unit of this driver), mirrored into Metrics when collection is on.
 func (s *exactDPSolver) Solve(ctx context.Context, in *problem.Instance) (core.Result, error) {
 	col := obs.NewCollector(s.opts.Metrics)
-	ctx, cancel := s.opts.budget().Apply(ctx)
-	defer cancel()
 	start := time.Now()
 	r, err := exact.SolveDPContext(ctx, in, exact.DPConfig{})
 	elapsed := time.Since(start)

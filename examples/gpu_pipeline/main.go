@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -70,13 +71,15 @@ func main() {
 		log.Fatal(err)
 	}
 	in := instances[2] // h = 0.6
-	res := (&parallel.GPUSA{
-		Inst: in,
+	res, err := (&parallel.GPUSA{
 		SA:   sa.Config{Iterations: 200, TempSamples: 500},
 		Grid: 2, Block: 96,
 		Seed: 1,
 		Dev:  dev,
-	}).MustSolve()
+	}).Solve(context.Background(), in)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("pipeline run on %s: best=%d, %d evaluations, %.4f s simulated, %v wall\n\n",
 		in.Name, res.BestCost, res.Evaluations, res.SimSeconds, res.Elapsed)
 

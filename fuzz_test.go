@@ -89,7 +89,6 @@ func FuzzSolveFacade(f *testing.F) {
 			Block:       2,
 			TempSamples: 8,
 			Seed:        seed,
-			Persistent:  engRaw%5 == 0,
 		}
 		res, err := duedate.SolveContext(context.Background(), in, opts)
 		if err != nil {

@@ -86,9 +86,7 @@ func TestAllEnginesAgreeWithExactOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every registered pairing runs, with per-algorithm budgets (ES
-	// converges on smaller populations; the others share one shape). The
-	// persistent-kernel SA variant is appended manually — it is an option
-	// on SA×GPU, not a pairing of its own.
+	// converges on smaller populations; the others share one shape).
 	budgets := map[duedate.Algorithm]duedate.Options{
 		duedate.SA:   {Iterations: 300, Grid: 2, Block: 16, TempSamples: 200},
 		duedate.DPSO: {Iterations: 300, Grid: 2, Block: 16},
@@ -111,9 +109,6 @@ func TestAllEnginesAgreeWithExactOracle(t *testing.T) {
 		o.Algorithm, o.Engine = p.Algorithm, p.Engine
 		opts = append(opts, o)
 	}
-	persistent := budgets[duedate.SA]
-	persistent.Algorithm, persistent.Engine, persistent.Persistent = duedate.SA, duedate.EngineGPU, true
-	opts = append(opts, persistent)
 	for _, o := range opts {
 		o.Seed = 7
 		res, err := duedate.Solve(in, o)
@@ -144,9 +139,9 @@ func TestGPUAndCPUEnsemblesStatisticallyComparable(t *testing.T) {
 	cfg := sa.Config{Iterations: 150, TempSamples: 200}
 	var gpu, cpu []float64
 	for seed := uint64(1); seed <= 8; seed++ {
-		g := (&parallel.GPUSA{Inst: in, SA: cfg, Grid: 2, Block: 8, Seed: seed}).MustSolve()
-		c := (&parallel.AsyncSA{Inst: in, SA: cfg,
-			Ens: parallel.Ensemble{Chains: 16, Seed: seed}, Parallel: true}).MustSolve()
+		g := solveOK(t, &parallel.GPUSA{SA: cfg, Grid: 2, Block: 8, Seed: seed}, in)
+		c := solveOK(t, &parallel.AsyncSA{SA: cfg,
+			Ens: parallel.Ensemble{Chains: 16, Seed: seed}, Parallel: true}, in)
 		gpu = append(gpu, float64(g.BestCost))
 		cpu = append(cpu, float64(c.BestCost))
 	}
@@ -280,7 +275,7 @@ func TestDifferentialVerificationOverRegistry(t *testing.T) {
 		t.Skip("differential sweep skipped in -short mode")
 	}
 	drivers := verify.RegisteredDrivers(verify.Budget{})
-	if want := len(duedate.Pairings()) + 1; len(drivers) != want { // +1: persistent SA/GPU
+	if want := len(duedate.Pairings()); len(drivers) != want {
 		t.Fatalf("RegisteredDrivers returned %d drivers, want %d (registry out of sync)", len(drivers), want)
 	}
 	rep, err := verify.Run(context.Background(), verify.Config{Trials: 2, Seed: 42, MaxN: 7}, drivers)

@@ -127,28 +127,6 @@ func (r *Result) Schedule(in *problem.Instance) problem.Schedule {
 	return GenomeSchedule(in, r.BestSeq)
 }
 
-// Budget bounds a solver run beyond the algorithm's own configuration.
-// The zero value imposes no bound.
-type Budget struct {
-	// Iterations, when positive, overrides the algorithm config's
-	// per-chain iteration count.
-	Iterations int
-	// Deadline, when nonzero, is the wall-clock cutoff: the engine stops
-	// at its next chain/level/iteration boundary past the deadline and
-	// returns the best-so-far with Result.Interrupted set.
-	Deadline time.Time
-}
-
-// Apply derives a context honoring the budget's deadline. The returned
-// cancel func must always be called (it is a no-op when no deadline is
-// set).
-func (b Budget) Apply(ctx context.Context) (context.Context, context.CancelFunc) {
-	if b.Deadline.IsZero() {
-		return ctx, func() {}
-	}
-	return context.WithDeadline(ctx, b.Deadline)
-}
-
 // Snapshot is one progress report from a running solver: the best
 // solution found so far with its accounting. The sequence is a copy
 // owned by the receiver.
@@ -167,7 +145,7 @@ type ProgressFunc func(Snapshot)
 
 // Solver is a runnable optimizer configuration: the engine-layer
 // contract every driver (CPU serial/parallel ensembles, the four-kernel
-// GPU pipeline, the persistent kernel, the TA/ES baselines) implements.
+// GPU pipeline, the TA/ES baselines) implements.
 type Solver interface {
 	// Name identifies the solver in experiment tables ("SA_1000", …).
 	Name() string

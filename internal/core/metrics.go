@@ -60,7 +60,7 @@ func itoa(v int) string {
 
 // PhaseMetric is the accounting of one solver phase — one of the paper's
 // kernels (perturbation, fitness, acceptance, reduction) or a host-side
-// stage (T₀ estimation, chain execution, the persistent kernel).
+// stage (T₀ estimation, chain execution, the exact DP).
 type PhaseMetric struct {
 	// Name identifies the phase ("fitness", "perturb", "t0", …).
 	Name string `json:"name"`

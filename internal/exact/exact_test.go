@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -194,11 +195,14 @@ func TestSAReachesExactOptimum(t *testing.T) {
 		cfg := sa.DefaultConfig()
 		cfg.Iterations = 400
 		cfg.TempSamples = 200
-		res := (&parallel.AsyncSA{
-			Inst: in, SA: cfg,
+		res, err := (&parallel.AsyncSA{
+			SA:       cfg,
 			Ens:      parallel.Ensemble{Chains: 16, Seed: uint64(trial)},
 			Parallel: true,
-		}).MustSolve()
+		}).Solve(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.BestCost < opt.Cost {
 			t.Fatalf("trial %d: SA %d beats the exact optimum %d — a solver bug", trial, res.BestCost, opt.Cost)
 		}

@@ -81,8 +81,7 @@ func Figure11(ctx context.Context, cfg Fig11Config, progress io.Writer) ([]Fig11
 			saCfg := sa.Config{Iterations: gens, TempSamples: cfg.TempSamples}
 			start := time.Now()
 			res, err := (&parallel.GPUSA{
-				Inst: inst, SA: saCfg,
-				Grid: grid, Block: block, Seed: cfg.Seed,
+				SA: saCfg, Grid: grid, Block: block, Seed: cfg.Seed,
 			}).Solve(ctx, inst)
 			if err != nil {
 				return nil, err

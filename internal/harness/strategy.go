@@ -49,14 +49,14 @@ func CompareStrategies(ctx context.Context, p Preset, progress io.Writer) ([]Str
 		inst := instances[len(instances)-1]
 		ens := parallel.Ensemble{Chains: p.Ensemble(), Seed: p.Seed ^ uint64(size)}
 		async, err := (&parallel.AsyncSA{
-			Inst: inst, SA: saCfg, Ens: ens, Parallel: true,
+			SA: saCfg, Ens: ens, Parallel: true,
 			Metrics: core.MetricsCounters,
 		}).Solve(ctx, inst)
 		if err != nil {
 			return nil, err
 		}
 		sync, err := (&parallel.SyncSA{
-			Inst: inst, SA: saCfg, Ens: ens,
+			SA: saCfg, Ens: ens,
 			MarkovLen: markov, Levels: p.ItersLow / markov,
 			Parallel: true,
 			Metrics:  core.MetricsCounters,

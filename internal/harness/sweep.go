@@ -147,7 +147,7 @@ func runInstance(ctx context.Context, p Preset, inst *problem.Instance, seed uin
 	}
 	refStart := time.Now()
 	ref, err := (&parallel.AsyncSA{
-		Label: "CPU-SA-ref", Inst: inst, SA: saRef,
+		Label: "CPU-SA-ref", SA: saRef,
 		Ens:      parallel.Ensemble{Chains: p.RefChains, Seed: seed ^ 0xAE5},
 		Parallel: false,
 	}).Solve(ctx, inst)
@@ -164,7 +164,7 @@ func runInstance(ctx context.Context, p Preset, inst *problem.Instance, seed uin
 	taStart := time.Now()
 	taCfg := ta.Config{Iterations: p.ItersHigh, TempSamples: p.TempSamples}
 	refTA, err := (&parallel.ChainEnsemble{
-		Label: "CPU-TA-ref", Inst: inst,
+		Label:      "CPU-TA-ref",
 		Ens:        parallel.Ensemble{Chains: p.RefChains, Seed: seed ^ 0x18},
 		Iterations: p.ItersHigh,
 		NewChain: func(inst *problem.Instance, c int, rng *xrand.XORWOW) parallel.Chain {

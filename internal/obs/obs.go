@@ -1,6 +1,6 @@
 // Package obs is the engine observability layer: a lock-free metrics
 // collector threaded through every solver driver (the shared CPU
-// ensemble runtime and the three GPU pipelines) plus an expvar-compatible
+// ensemble runtime and the two GPU pipelines) plus an expvar-compatible
 // registry aggregating snapshots across runs.
 //
 // The design contract is "off means free": a nil *Collector is the
@@ -50,8 +50,6 @@ const (
 	// PhaseBroadcast is the DPSO swarm-best broadcast kernel (and the
 	// synchronous SA level broadcast).
 	PhaseBroadcast
-	// PhasePersistent is the single launch of the persistent SA kernel.
-	PhasePersistent
 	// PhaseDP is the pseudo-polynomial dynamic program of the EXACT-DP
 	// driver (state expansion plus sequence reconstruction).
 	PhaseDP
@@ -89,8 +87,6 @@ func (p Phase) String() string {
 		return "pbest"
 	case PhaseBroadcast:
 		return "broadcast"
-	case PhasePersistent:
-		return "persistent"
 	case PhaseDP:
 		return "dp"
 	case PhasePick:

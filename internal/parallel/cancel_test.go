@@ -104,7 +104,7 @@ func TestGPUDPSOCancelMidRun(t *testing.T) {
 	assertInterrupted(t, in, res, err)
 }
 
-// TestExpiredDeadlinePromptReturn hands every driver a Budget whose
+// TestExpiredDeadlinePromptReturn hands every driver a context whose
 // deadline already passed, with an iteration budget large enough that
 // actually running it would blow the test timeout. Each must return
 // promptly with Interrupted set and a valid best (the identity-sequence
@@ -112,24 +112,24 @@ func TestGPUDPSOCancelMidRun(t *testing.T) {
 // on the GPU engines).
 func TestExpiredDeadlinePromptReturn(t *testing.T) {
 	in := benchInstanceCDD(15)
-	expired := core.Budget{Deadline: time.Now().Add(-time.Second)}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
 	saCfg := smallSA()
 	saCfg.Iterations = 1 << 20
 	psoCfg := dpso.DefaultConfig()
 	psoCfg.Iterations = 1 << 20
 	solvers := []core.Solver{
-		&AsyncSA{SA: saCfg, Ens: Ensemble{Chains: 16, Seed: 1}, Parallel: true, Budget: expired},
-		&AsyncSA{SA: saCfg, Ens: Ensemble{Chains: 16, Seed: 1}, Parallel: false, Budget: expired},
-		&SyncSA{SA: saCfg, Ens: Ensemble{Chains: 8, Seed: 5}, MarkovLen: 5, Levels: 1 << 20, Parallel: true, Budget: expired},
-		&ParallelDPSO{PSO: psoCfg, Ens: Ensemble{Chains: 8, Seed: 2}, Parallel: true, Budget: expired},
-		&GPUSA{SA: saCfg, Grid: 1, Block: 8, Seed: 6, Budget: expired},
-		&PersistentGPUSA{SA: saCfg, Grid: 1, Block: 8, Seed: 6, Budget: expired},
-		&GPUDPSO{PSO: psoCfg, Grid: 1, Block: 8, Seed: 2, Budget: expired},
+		&AsyncSA{SA: saCfg, Ens: Ensemble{Chains: 16, Seed: 1}, Parallel: true},
+		&AsyncSA{SA: saCfg, Ens: Ensemble{Chains: 16, Seed: 1}, Parallel: false},
+		&SyncSA{SA: saCfg, Ens: Ensemble{Chains: 8, Seed: 5}, MarkovLen: 5, Levels: 1 << 20, Parallel: true},
+		&ParallelDPSO{PSO: psoCfg, Ens: Ensemble{Chains: 8, Seed: 2}, Parallel: true},
+		&GPUSA{SA: saCfg, Grid: 1, Block: 8, Seed: 6},
+		&GPUDPSO{PSO: psoCfg, Grid: 1, Block: 8, Seed: 2},
 	}
 	for _, s := range solvers {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
-			res, err := s.Solve(context.Background(), in)
+			res, err := s.Solve(expired, in)
 			assertInterrupted(t, in, res, err)
 		})
 	}
@@ -157,15 +157,16 @@ func TestAsyncSAIdentityFallback(t *testing.T) {
 
 // TestCancelledBudgetKeepsDeterminism: an uncancelled context must leave
 // results bit-identical whether or not a (future) deadline was attached —
-// the budget machinery itself may not disturb trajectories.
+// the deadline plumbing itself may not disturb trajectories.
 func TestCancelledBudgetKeepsDeterminism(t *testing.T) {
 	in := benchInstanceCDD(15)
 	plain, err := (&AsyncSA{SA: smallSA(), Ens: Ensemble{Chains: 10, Seed: 3}, Parallel: true}).Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted, err := (&AsyncSA{SA: smallSA(), Ens: Ensemble{Chains: 10, Seed: 3}, Parallel: true,
-		Budget: core.Budget{Deadline: time.Now().Add(time.Hour)}}).Solve(context.Background(), in)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+	defer cancel()
+	budgeted, err := (&AsyncSA{SA: smallSA(), Ens: Ensemble{Chains: 10, Seed: 3}, Parallel: true}).Solve(ctx, in)
 	if err != nil {
 		t.Fatal(err)
 	}

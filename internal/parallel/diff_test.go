@@ -86,18 +86,18 @@ func TestDeviceHostFitnessDifferentialCDD(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		in := randomAdversarialCDD(rng)
 		n := in.N()
-		p, alpha, beta := cdd.ParamArrays(in)
+		pl := fitnessPipeline(in)
 		host := cdd.NewEvaluator(in)
 		delta := core.NewDeltaEvaluator(in)
 		seq := problem.IdentitySequence(n)
 		seq32 := make([]int32, n)
-		comp := make([]int64, n)
 		for s := 0; s < 6; s++ {
 			rng.Shuffle(n, func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
 			for i, v := range seq {
 				seq32[i] = int32(v)
 			}
-			dev, _ := fitnessCDDArrays(seq32, p, alpha, beta, in.D, comp)
+			costs, _ := pl.batchFitness(seq32)
+			dev := costs[0]
 			if hc := host.Cost(seq); dev != hc {
 				t.Fatalf("trial %d: device %d != host %d (d=%d jobs=%+v seq=%v)",
 					trial, dev, hc, in.D, in.Jobs, seq)
@@ -115,19 +115,18 @@ func TestDeviceHostFitnessDifferentialUCDDCP(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		in := randomAdversarialUCDDCP(rng)
 		n := in.N()
-		p, m, alpha, beta, gamma := ucddcp.ParamArrays(in)
+		pl := fitnessPipeline(in)
 		host := ucddcp.NewEvaluator(in)
 		delta := core.NewDeltaEvaluator(in)
 		seq := problem.IdentitySequence(n)
 		seq32 := make([]int32, n)
-		comp := make([]int64, n)
-		scratch := make([]int64, n)
 		for s := 0; s < 6; s++ {
 			rng.Shuffle(n, func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
 			for i, v := range seq {
 				seq32[i] = int32(v)
 			}
-			dev, _ := fitnessUCDDCPArrays(seq32, p, m, alpha, beta, gamma, in.D, comp, scratch)
+			costs, _ := pl.batchFitness(seq32)
+			dev := costs[0]
 			if hc := host.Cost(seq); dev != hc {
 				t.Fatalf("trial %d: device %d != host %d (d=%d jobs=%+v seq=%v)",
 					trial, dev, hc, in.D, in.Jobs, seq)

@@ -20,8 +20,6 @@ import (
 // identical swarm is executed on one goroutine as the CPU-time baseline.
 type ParallelDPSO struct {
 	Label string
-	// Inst is the default instance, used when Solve receives nil.
-	Inst *problem.Instance
 	// PSO holds the particle parameters; its Swarm field is ignored (the
 	// ensemble size is the swarm size).
 	PSO dpso.Config
@@ -31,9 +29,6 @@ type ParallelDPSO struct {
 	// ShareSwarmBest broadcasts the true swarm best each generation
 	// instead of the paper's communication-free scheme.
 	ShareSwarmBest bool
-	// Budget bounds the run (generation override and/or deadline; the
-	// deadline applies at generation granularity).
-	Budget core.Budget
 	// Progress receives a snapshot whenever the swarm best improves.
 	Progress core.ProgressFunc
 	// Metrics selects the instrumentation level (off by default).
@@ -55,16 +50,8 @@ func (d *ParallelDPSO) Name() string {
 // the remaining generations and returns the swarm best so far (valid from
 // generation zero, since initialization evaluates every particle).
 func (d *ParallelDPSO) Solve(ctx context.Context, inst *problem.Instance) (core.Result, error) {
-	if inst == nil {
-		inst = d.Inst
-	}
 	ens := d.Ens.normalized()
 	cfg := d.PSO.Normalized()
-	if d.Budget.Iterations > 0 {
-		cfg.Iterations = d.Budget.Iterations
-	}
-	ctx, cancel := d.Budget.Apply(ctx)
-	defer cancel()
 	start := time.Now()
 	n := inst.GenomeLen()
 
@@ -197,7 +184,3 @@ func (d *ParallelDPSO) Solve(ctx context.Context, inst *problem.Instance) (core.
 	m.final(res)
 	return res, nil
 }
-
-// MustSolve is the context-free convenience form of Solve: background
-// context, the bound instance, panic on error.
-func (d *ParallelDPSO) MustSolve() core.Result { return mustSolve(d, d.Inst) }

@@ -259,18 +259,13 @@ func (m *meter) final(res core.Result) {
 type ChainEnsemble struct {
 	// Label names the solver in result tables.
 	Label string
-	// Inst is the default instance, used when Solve receives nil.
-	Inst *problem.Instance
 	// Ens is the ensemble geometry.
 	Ens Ensemble
 	// Parallel selects the multi-goroutine dispatcher.
 	Parallel bool
 	// Iterations is the per-chain budget reported in results (the
-	// factory's chain config owns the actual loop; Budget.Iterations
-	// does not reach inside the factory).
+	// factory's chain config owns the actual loop).
 	Iterations int
-	// Budget bounds the run (deadline only; see Iterations).
-	Budget core.Budget
 	// Progress receives best-so-far snapshots.
 	Progress core.ProgressFunc
 	// Metrics selects the instrumentation level (off by default).
@@ -289,11 +284,6 @@ func (c *ChainEnsemble) Name() string {
 
 // Solve implements core.Solver.
 func (c *ChainEnsemble) Solve(ctx context.Context, inst *problem.Instance) (core.Result, error) {
-	if inst == nil {
-		inst = c.Inst
-	}
-	ctx, cancel := c.Budget.Apply(ctx)
-	defer cancel()
 	return c.Ens.Run(ctx, inst, RunSpec{
 		Parallel:   c.Parallel,
 		Iterations: c.Iterations,
@@ -303,17 +293,4 @@ func (c *ChainEnsemble) Solve(ctx context.Context, inst *problem.Instance) (core
 			return c.NewChain(inst, i, rng)
 		},
 	})
-}
-
-// MustSolve is the context-free convenience form of Solve: background
-// context, the bound instance, panic on error.
-func (c *ChainEnsemble) MustSolve() core.Result { return mustSolve(c, c.Inst) }
-
-// mustSolve backs the drivers' MustSolve convenience methods.
-func mustSolve(s core.Solver, inst *problem.Instance) core.Result {
-	res, err := s.Solve(context.Background(), inst)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

@@ -55,10 +55,6 @@ func TestGoldenFixedSeedResults(t *testing.T) {
 		r, err := (&GPUSA{SA: goldenSA(), Grid: 2, Block: 8, Seed: 6}).Solve(ctx, in)
 		return mustRun(t, r, err).BestCost, 0
 	}
-	persistent := func(t *testing.T, in *problem.Instance) (int64, int64) {
-		r, err := (&PersistentGPUSA{SA: goldenSA(), Grid: 2, Block: 8, Seed: 6}).Solve(ctx, in)
-		return mustRun(t, r, err).BestCost, 0
-	}
 	sync := func(t *testing.T, in *problem.Instance) (int64, int64) {
 		r, err := (&SyncSA{SA: goldenSA(), Ens: Ensemble{Chains: 8, Seed: 5}, MarkovLen: 5, Levels: 12, Parallel: true}).Solve(ctx, in)
 		return mustRun(t, r, err).BestCost, 0
@@ -75,8 +71,6 @@ func TestGoldenFixedSeedResults(t *testing.T) {
 		{"GPUSA/UCDDCP/n15", uc15, gpu, 2389, 0},
 		{"GPUSA/CDD/n40", cdd40, gpu, 20539, 0},
 		{"GPUSA/UCDDCP/n40", uc40, gpu, 11354, 0},
-		{"PersistentGPUSA/CDD/n15", cdd15, persistent, 2321, 0},
-		{"PersistentGPUSA/CDD/n40", cdd40, persistent, 20539, 0},
 		{"SyncSA/CDD/n15", cdd15, sync, 2222, 0},
 		{"SyncSA/CDD/n40", cdd40, sync, 16817, 0},
 	}

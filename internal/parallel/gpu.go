@@ -35,8 +35,6 @@ const tidBits = 20
 type GPUSA struct {
 	// Label names the solver in result tables.
 	Label string
-	// Inst is the instance to optimize (CDD or UCDDCP).
-	Inst *problem.Instance
 	// SA holds the annealing parameters shared by all threads.
 	SA sa.Config
 	// Grid and Block are the launch geometry; the paper's configuration
@@ -62,10 +60,6 @@ type GPUSA struct {
 	// configuration for all chains" option of Ferreiro et al., used by
 	// the warm-start ablation with the constructive heuristic.
 	InitialSeq []int
-	// Budget bounds the run (iteration override and/or deadline; the
-	// deadline applies at host-iteration granularity, i.e. once per
-	// four-kernel round).
-	Budget core.Budget
 	// Progress receives a snapshot after every reduction kernel. Each
 	// snapshot costs a device→host copy of the winning sequence, so leave
 	// it nil for timing runs.
@@ -115,15 +109,17 @@ type pipeline struct {
 	coop                 bool
 	pAccess              PAccess
 
-	// Job-parameter arrays, device-resident (indexed by job id).
+	// Job-parameter arrays, device-resident (indexed by job id). On
+	// genome-coded instances (parallel machines or early work) rows are
+	// delimiter genomes of length GenomeLen, and the arrays are
+	// zero-padded to that length so separator ids stay in-bounds for
+	// every access mode.
 	pBuf, alphaBuf, betaBuf *cudasim.Buffer[int64]
 	mBuf, gammaBuf          *cudasim.Buffer[int64] // nil for CDD
 	pTex                    *cudasim.Texture[int64]
 
 	// Per-thread local state modelling registers/local memory.
 	rngs     []*xrand.XORWOW
-	comp     [][]int64
-	aux      [][]int64 // second scratch row (UCDDCP)
 	pLocal   [][]int64 // texture-mode staging of processing times
 	texCache []cudasim.TexCache
 
@@ -131,14 +127,6 @@ type pipeline struct {
 	// fitness step prices each candidate by Propose over the perturbed
 	// positions and the accept step advances the cache by Commit.
 	deltas []*cdd.Delta[int32]
-
-	// soa, when non-nil, is the genome-coded snapshot: the instance has
-	// parallel machines or the early-work objective, rows are delimiter
-	// genomes of length GenomeLen, and the persistent kernel scores them
-	// through core.GenomeFitnessArrays. The device job arrays above are
-	// zero-padded to the genome length so separator ids stay in-bounds
-	// for every access mode.
-	soa *core.SoAInstance
 
 	// batch precomputes the full-pass fitness of all rows host-side in
 	// one batch pass (lazily built on first fitnessKernel
@@ -165,9 +153,6 @@ func newPipeline(dev *cudasim.Device, inst *problem.Instance, grid, block int, c
 	pl.pBuf = cudasim.NewBufferFrom(dev, p)
 	pl.alphaBuf = cudasim.NewBufferFrom(dev, a)
 	pl.betaBuf = cudasim.NewBufferFrom(dev, b)
-	if inst.GenomeCoded() {
-		pl.soa = core.NewSoAInstance(inst)
-	}
 	if inst.Kind == problem.UCDDCP {
 		m := make([]int64, n)
 		gm := make([]int64, n)
@@ -181,12 +166,8 @@ func newPipeline(dev *cudasim.Device, inst *problem.Instance, grid, block int, c
 	dev.SetConstantInt("d", inst.D)
 
 	pl.rngs = make([]*xrand.XORWOW, pl.threads)
-	pl.comp = make([][]int64, pl.threads)
-	pl.aux = make([][]int64, pl.threads)
 	for t := 0; t < pl.threads; t++ {
 		pl.rngs[t] = xrand.NewStream(seed, uint64(t))
-		pl.comp[t] = make([]int64, n)
-		pl.aux[t] = make([]int64, n)
 	}
 	return pl
 }
@@ -427,9 +408,6 @@ func (pl *pipeline) reduceKernel(costs, packed *cudasim.Buffer[int64]) error {
 // Interrupted set — valid from round zero, because the initialization
 // fitness pass seeds every thread's best.
 func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result, error) {
-	if inst == nil {
-		inst = g.Inst
-	}
 	grid, block := g.Grid, g.Block
 	if grid <= 0 {
 		grid = 4
@@ -445,13 +423,8 @@ func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result,
 	if reduceEvery <= 0 {
 		reduceEvery = 1
 	}
-	cfg := g.SA
-	if g.Budget.Iterations > 0 {
-		cfg.Iterations = g.Budget.Iterations
-	}
-	ctx, cancel := g.Budget.Apply(ctx)
-	defer cancel()
 	n := inst.GenomeLen()
+	cfg := g.SA.Normalized(n)
 	start := time.Now()
 	simStart := dev.SimTime()
 
@@ -461,27 +434,6 @@ func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result,
 		pl.enableDelta()
 	}
 	N := pl.threads
-
-	// Normalize the SA parameters exactly as sa.Chain would.
-	full := sa.DefaultConfig()
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = full.Iterations
-	}
-	if cfg.Cooling <= 0 || cfg.Cooling >= 1 {
-		cfg.Cooling = full.Cooling
-	}
-	if cfg.Pert <= 0 {
-		cfg.Pert = full.Pert
-	}
-	if cfg.Pert > n {
-		cfg.Pert = n
-	}
-	if cfg.ReselectPeriod <= 0 {
-		cfg.ReselectPeriod = full.ReselectPeriod
-	}
-	if cfg.TempSamples <= 0 {
-		cfg.TempSamples = full.TempSamples
-	}
 
 	col := obs.NewCollector(g.Metrics)
 	var evalCount int64
@@ -679,13 +631,9 @@ func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result,
 	return res, nil
 }
 
-// MustSolve is the context-free convenience form of Solve: background
-// context, the bound instance, panic on error.
-func (g *GPUSA) MustSolve() core.Result { return mustSolve(g, g.Inst) }
-
 // winner copies the packed reduction word back to the host and decodes
 // the winning thread's best sequence and cost — the shared final step of
-// all three GPU front ends.
+// both GPU front ends.
 func (pl *pipeline) winner(packedBuf *cudasim.Buffer[int64], bestSeqBuf *cudasim.Buffer[int32]) ([]int, int64) {
 	packed := make([]int64, 1)
 	packedBuf.CopyToHost(packed)

@@ -36,8 +36,6 @@ import (
 type GPUDPSO struct {
 	// Label names the solver in result tables.
 	Label string
-	// Inst is the instance to optimize (CDD or UCDDCP).
-	Inst *problem.Instance
 	// PSO holds the particle parameters; Swarm is ignored (the launch
 	// geometry is the swarm).
 	PSO dpso.Config
@@ -56,9 +54,6 @@ type GPUDPSO struct {
 	// PTimeAccess selects the processing-time read mode of the fitness
 	// kernel (see PAccess).
 	PTimeAccess PAccess
-	// Budget bounds the run (generation override and/or deadline; the
-	// deadline applies at host-generation granularity).
-	Budget core.Budget
 	// Progress receives a snapshot after every reduction kernel. Each
 	// snapshot costs a device→host copy of the winning sequence, so leave
 	// it nil for timing runs.
@@ -83,9 +78,6 @@ func (g *GPUDPSO) Name() string {
 // with Interrupted set (valid from generation zero, because the init
 // kernel folds every particle's initial cost into the reduction).
 func (g *GPUDPSO) Solve(ctx context.Context, inst *problem.Instance) (core.Result, error) {
-	if inst == nil {
-		inst = g.Inst
-	}
 	grid, block := g.Grid, g.Block
 	if grid <= 0 {
 		grid = 4
@@ -98,11 +90,6 @@ func (g *GPUDPSO) Solve(ctx context.Context, inst *problem.Instance) (core.Resul
 		dev = cudasim.NewDevice(cudasim.GT560M())
 	}
 	cfg := g.PSO.Normalized()
-	if g.Budget.Iterations > 0 {
-		cfg.Iterations = g.Budget.Iterations
-	}
-	ctx, cancel := g.Budget.Apply(ctx)
-	defer cancel()
 	n := inst.GenomeLen()
 	start := time.Now()
 	simStart := dev.SimTime()
@@ -306,7 +293,3 @@ func (g *GPUDPSO) Solve(ctx context.Context, inst *problem.Instance) (core.Resul
 	}
 	return res, nil
 }
-
-// MustSolve is the context-free convenience form of Solve: background
-// context, the bound instance, panic on error.
-func (g *GPUDPSO) MustSolve() core.Result { return mustSolve(g, g.Inst) }

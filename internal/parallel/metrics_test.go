@@ -14,12 +14,11 @@ func TestMetricsOffByDefault(t *testing.T) {
 	ctx := context.Background()
 	in := benchInstanceCDD(15)
 	solvers := map[string]core.Solver{
-		"AsyncSA":         &AsyncSA{SA: goldenSA(), Ens: Ensemble{Chains: 4, Seed: 3}, Parallel: true},
-		"SyncSA":          &SyncSA{SA: goldenSA(), Ens: Ensemble{Chains: 4, Seed: 3}, MarkovLen: 5, Levels: 6, Parallel: true},
-		"GPUSA":           &GPUSA{SA: goldenSA(), Grid: 1, Block: 8, Seed: 6},
-		"PersistentGPUSA": &PersistentGPUSA{SA: goldenSA(), Grid: 1, Block: 8, Seed: 6},
-		"ParallelDPSO":    &ParallelDPSO{PSO: dpso.Config{Iterations: 30}, Ens: Ensemble{Chains: 4, Seed: 3}, Parallel: true},
-		"GPUDPSO":         &GPUDPSO{PSO: dpso.Config{Iterations: 30}, Grid: 1, Block: 8, Seed: 6},
+		"AsyncSA":      &AsyncSA{SA: goldenSA(), Ens: Ensemble{Chains: 4, Seed: 3}, Parallel: true},
+		"SyncSA":       &SyncSA{SA: goldenSA(), Ens: Ensemble{Chains: 4, Seed: 3}, MarkovLen: 5, Levels: 6, Parallel: true},
+		"GPUSA":        &GPUSA{SA: goldenSA(), Grid: 1, Block: 8, Seed: 6},
+		"ParallelDPSO": &ParallelDPSO{PSO: dpso.Config{Iterations: 30}, Ens: Ensemble{Chains: 4, Seed: 3}, Parallel: true},
+		"GPUDPSO":      &GPUDPSO{PSO: dpso.Config{Iterations: 30}, Grid: 1, Block: 8, Seed: 6},
 	}
 	for name, s := range solvers {
 		r, err := s.Solve(ctx, in)
@@ -79,39 +78,6 @@ func TestMetricsEvaluationsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestMetricsAgreeAcrossGPUSAEngines: the four-kernel and the persistent
-// pipelines run the same per-thread trajectory, so their counters must be
-// identical.
-func TestMetricsAgreeAcrossGPUSAEngines(t *testing.T) {
-	ctx := context.Background()
-	in := benchInstanceCDD(15)
-	kernels, err := (&GPUSA{SA: goldenSA(), Grid: 2, Block: 8, Seed: 6,
-		Metrics: core.MetricsCounters}).Solve(ctx, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	persistent, err := (&PersistentGPUSA{SA: goldenSA(), Grid: 2, Block: 8, Seed: 6,
-		Metrics: core.MetricsCounters}).Solve(ctx, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	km, pm := kernels.Metrics, persistent.Metrics
-	if km == nil || pm == nil {
-		t.Fatal("Metrics nil with counters level on")
-	}
-	if km.Evaluations != pm.Evaluations {
-		t.Errorf("Evaluations differ: four-kernel %d, persistent %d", km.Evaluations, pm.Evaluations)
-	}
-	if km.Acceptances != pm.Acceptances || km.Improvements != pm.Improvements {
-		t.Errorf("accept counters differ: four-kernel %d/%d, persistent %d/%d",
-			km.Acceptances, km.Improvements, pm.Acceptances, pm.Improvements)
-	}
-	if km.DeltaEvaluations != pm.DeltaEvaluations || km.FullEvaluations != pm.FullEvaluations {
-		t.Errorf("eval-path counters differ: four-kernel %d/%d, persistent %d/%d",
-			km.DeltaEvaluations, km.FullEvaluations, pm.DeltaEvaluations, pm.FullEvaluations)
-	}
-}
-
 // TestMetricsKernelPhases: at the kernels level, every phase a driver
 // runs must show up with a positive count and nonzero host wall time, and
 // GPU drivers must carry simulated device seconds on their kernel phases.
@@ -141,12 +107,6 @@ func TestMetricsKernelPhases(t *testing.T) {
 			&GPUSA{SA: goldenSA(), Grid: 1, Block: 8, Seed: 6, Metrics: core.MetricsKernels},
 			[]string{"t0", "init", "perturb", "fitness", "accept", "reduce"},
 			[]string{"perturb", "fitness", "accept", "reduce"},
-		},
-		{
-			"PersistentGPUSA",
-			&PersistentGPUSA{SA: goldenSA(), Grid: 1, Block: 8, Seed: 6, Metrics: core.MetricsKernels},
-			[]string{"t0", "persistent"},
-			[]string{"persistent"},
 		},
 		{
 			"ParallelDPSO",

@@ -15,10 +15,10 @@ func TestPAccessModesIdenticalResults(t *testing.T) {
 	cfg := smallSA()
 	cfg.Iterations = 60
 	run := func(mode PAccess) core.Result {
-		return (&GPUSA{
-			Inst: in, SA: cfg, Grid: 2, Block: 16, Seed: 9,
+		return solveOK(t, &GPUSA{
+			SA: cfg, Grid: 2, Block: 16, Seed: 9,
 			PTimeAccess: mode,
-		}).MustSolve()
+		}, in)
 	}
 	coal := run(PAccessCoalesced)
 	scat := run(PAccessScattered)
@@ -44,10 +44,10 @@ func TestInitialSeqWarmStart(t *testing.T) {
 	warmCost := eval.Cost(warm)
 	cfg := smallSA()
 	cfg.Iterations = 30
-	res := (&GPUSA{
-		Inst: in, SA: cfg, Grid: 2, Block: 8, Seed: 4,
+	res := solveOK(t, &GPUSA{
+		SA: cfg, Grid: 2, Block: 8, Seed: 4,
 		InitialSeq: warm,
-	}).MustSolve()
+	}, in)
 	if res.BestCost > warmCost {
 		t.Errorf("warm-started ensemble (%d) lost its initial solution (%d)", res.BestCost, warmCost)
 	}
@@ -62,10 +62,10 @@ func TestInitialSeqWarmStart(t *testing.T) {
 func TestDPSOSharedBeatsAsyncHere(t *testing.T) {
 	in := benchInstanceCDD(60)
 	mk := func(share bool) int64 {
-		return (&GPUDPSO{
-			Inst: in, PSO: dpsoCfg(300), Grid: 2, Block: 24, Seed: 3,
+		return solveOK(t, &GPUDPSO{
+			PSO: dpsoCfg(300), Grid: 2, Block: 24, Seed: 3,
 			ShareSwarmBest: share,
-		}).MustSolve().BestCost
+		}, in).BestCost
 	}
 	async, shared := mk(false), mk(true)
 	if shared > async {
@@ -80,46 +80,13 @@ func TestReduceEveryDoesNotChangeResult(t *testing.T) {
 	cfg := smallSA()
 	cfg.Iterations = 50
 	run := func(every int) int64 {
-		return (&GPUSA{
-			Inst: in, SA: cfg, Grid: 1, Block: 16, Seed: 5,
+		return solveOK(t, &GPUSA{
+			SA: cfg, Grid: 1, Block: 16, Seed: 5,
 			ReduceEvery: every,
-		}).MustSolve().BestCost
+		}, in).BestCost
 	}
 	a, b, c := run(1), run(10), run(50)
 	if a != b || a != c {
 		t.Errorf("reduce frequency changed results: %d / %d / %d", a, b, c)
-	}
-}
-
-// TestPersistentMatchesPipelined: the persistent-kernel variant consumes
-// the per-thread RNG streams in the four-kernel pipeline's order, so for
-// a fixed seed both engines must return identical best costs.
-func TestPersistentMatchesPipelined(t *testing.T) {
-	for _, n := range []int{12, 35} {
-		in := benchInstanceCDD(n)
-		cfg := smallSA()
-		cfg.Iterations = 80
-		pipe := (&GPUSA{Inst: in, SA: cfg, Grid: 2, Block: 16, Seed: 21}).MustSolve()
-		pers := (&PersistentGPUSA{Inst: in, SA: cfg, Grid: 2, Block: 16, Seed: 21}).MustSolve()
-		if pipe.BestCost != pers.BestCost {
-			t.Errorf("n=%d: pipelined %d != persistent %d", n, pipe.BestCost, pers.BestCost)
-		}
-		if pers.SimSeconds >= pipe.SimSeconds {
-			t.Errorf("n=%d: persistent kernel (%gs) not faster than 4-kernel pipeline (%gs)",
-				n, pers.SimSeconds, pipe.SimSeconds)
-		}
-	}
-}
-
-// TestPersistentOnUCDDCP exercises the persistent kernel on the
-// controllable problem.
-func TestPersistentOnUCDDCP(t *testing.T) {
-	in := benchInstanceUCDDCP(15)
-	cfg := smallSA()
-	cfg.Iterations = 60
-	res := (&PersistentGPUSA{Inst: in, SA: cfg, Grid: 2, Block: 8, Seed: 13}).MustSolve()
-	eval := core.NewEvaluator(in)
-	if got := eval.Cost(res.BestSeq); got != res.BestCost {
-		t.Errorf("reported %d, evaluates to %d", res.BestCost, got)
 	}
 }

@@ -97,8 +97,6 @@ func runOverWorkers(chains, workers int, parallelOK bool, fn func(i int)) {
 type AsyncSA struct {
 	// Label names the solver in result tables.
 	Label string
-	// Inst is the default instance, used when Solve receives nil.
-	Inst *problem.Instance
 	// SA holds the per-chain annealing parameters.
 	SA sa.Config
 	// Ens is the ensemble geometry.
@@ -106,8 +104,6 @@ type AsyncSA struct {
 	// Parallel selects the multi-goroutine driver; false runs the same
 	// chains serially (the CPU-time baseline).
 	Parallel bool
-	// Budget bounds the run (iteration override and/or deadline).
-	Budget core.Budget
 	// Progress receives best-so-far snapshots.
 	Progress core.ProgressFunc
 	// Metrics selects the instrumentation level (off by default).
@@ -127,32 +123,19 @@ func (a *AsyncSA) Name() string {
 // fixed seed regardless of Parallel, because chain i always consumes RNG
 // stream i.
 func (a *AsyncSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result, error) {
-	if inst == nil {
-		inst = a.Inst
-	}
-	cfg := a.SA
-	if a.Budget.Iterations > 0 {
-		cfg.Iterations = a.Budget.Iterations
-	}
-	ctx, cancel := a.Budget.Apply(ctx)
-	defer cancel()
 	return a.Ens.Run(ctx, inst, RunSpec{
 		Parallel:   a.Parallel,
-		Iterations: cfg.Iterations,
+		Iterations: a.SA.Iterations,
 		Progress:   a.Progress,
 		Collector:  obs.NewCollector(a.Metrics),
 		NewChain: func(i int, rng *xrand.XORWOW) Chain {
 			// Incremental evaluator: chains price each neighbour in
 			// O(touched) with bit-identical costs, so results match full
 			// evaluation.
-			return sa.NewChain(cfg, core.NewDeltaEvaluator(inst), rng)
+			return sa.NewChain(a.SA, core.NewDeltaEvaluator(inst), rng)
 		},
 	})
 }
-
-// MustSolve is the context-free convenience form of Solve: background
-// context, the bound instance, panic on error.
-func (a *AsyncSA) MustSolve() core.Result { return mustSolve(a, a.Inst) }
 
 // SyncSA is the synchronous parallel Simulated Annealing of Figure 8:
 // all chains anneal at a common temperature level for a Markov chain of
@@ -161,19 +144,14 @@ func (a *AsyncSA) MustSolve() core.Result { return mustSolve(a, a.Inst) }
 // converges prematurely, which TestSynchronousDiversityCollapse verifies.
 type SyncSA struct {
 	Label string
-	// Inst is the default instance, used when Solve receives nil.
-	Inst *problem.Instance
-	SA   sa.Config
-	Ens  Ensemble
+	SA    sa.Config
+	Ens   Ensemble
 	// MarkovLen is M, the per-level chain length.
 	MarkovLen int
 	// Levels is the number of temperature levels t.
 	Levels int
 	// Parallel selects the multi-goroutine driver.
 	Parallel bool
-	// Budget bounds the run (level-count override via Iterations is not
-	// supported; the deadline applies at level granularity).
-	Budget core.Budget
 	// Progress receives a snapshot after each level's reduction.
 	Progress core.ProgressFunc
 	// Metrics selects the instrumentation level (off by default).
@@ -192,9 +170,6 @@ func (s *SyncSA) Name() string {
 // between. Cancellation is checked at level granularity: a done context
 // skips the remaining levels and reduces over the chains' bests so far.
 func (s *SyncSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result, error) {
-	if inst == nil {
-		inst = s.Inst
-	}
 	ens := s.Ens.normalized()
 	markov := s.MarkovLen
 	if markov <= 0 {
@@ -204,8 +179,6 @@ func (s *SyncSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result
 	if levels <= 0 {
 		levels = 100
 	}
-	ctx, cancel := s.Budget.Apply(ctx)
-	defer cancel()
 	start := time.Now()
 
 	col := obs.NewCollector(s.Metrics)
@@ -290,10 +263,6 @@ func (s *SyncSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result
 	m.final(res)
 	return res, nil
 }
-
-// MustSolve is the context-free convenience form of Solve: background
-// context, the bound instance, panic on error.
-func (s *SyncSA) MustSolve() core.Result { return mustSolve(s, s.Inst) }
 
 // Diversity returns the mean pairwise Hamming distance of the chains'
 // current sequences, a collapse diagnostic used by tests and examples.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cdd"
 	"repro/internal/core"
+	"repro/internal/cudasim"
 	"repro/internal/dpso"
 	"repro/internal/orlib"
 	"repro/internal/problem"
@@ -37,8 +38,26 @@ func benchInstanceUCDDCP(n int) *problem.Instance {
 	return ins[0]
 }
 
-// TestDeviceFitnessParityCDD pins the device-side fitness port to the
-// host evaluator, bit for bit, over random instances and sequences.
+// solveOK runs s on in under a background context, failing the test on
+// error.
+func solveOK(tb testing.TB, s core.Solver, in *problem.Instance) core.Result {
+	tb.Helper()
+	res, err := s.Solve(context.Background(), in)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// fitnessPipeline builds a one-thread GPU pipeline over in, whose
+// batchFitness scores int32 rows exactly as the fitness kernel does.
+func fitnessPipeline(in *problem.Instance) *pipeline {
+	return newPipeline(cudasim.NewDevice(cudasim.GT560M()), in, 1, 1, false, 1)
+}
+
+// TestDeviceFitnessParityCDD pins the fitness kernel's batched pass over
+// int32 device rows to the host evaluator, bit for bit, over random
+// instances and sequences.
 func TestDeviceFitnessParityCDD(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
@@ -57,14 +76,8 @@ func TestDeviceFitnessParityCDD(t *testing.T) {
 		for i, v := range seq {
 			seq32[i] = int32(v)
 		}
-		p := make([]int64, n)
-		a := make([]int64, n)
-		b := make([]int64, n)
-		for i, j := range in.Jobs {
-			p[i], a[i], b[i] = int64(j.P), int64(j.Alpha), int64(j.Beta)
-		}
-		comp := make([]int64, n)
-		got, _ := fitnessCDDArrays(seq32, p, a, b, in.D, comp)
+		costs, _ := fitnessPipeline(in).batchFitness(seq32)
+		got := costs[0]
 		want := cdd.OptimizeSequence(in, seq).Cost
 		if got != want {
 			t.Fatalf("trial %d (n=%d): device fitness %d, host evaluator %d", trial, n, got, want)
@@ -92,17 +105,8 @@ func TestDeviceFitnessParityUCDDCP(t *testing.T) {
 		for i, v := range seq {
 			seq32[i] = int32(v)
 		}
-		p := make([]int64, n)
-		m := make([]int64, n)
-		a := make([]int64, n)
-		b := make([]int64, n)
-		gm := make([]int64, n)
-		for i, j := range in.Jobs {
-			p[i], m[i], a[i], b[i], gm[i] = int64(j.P), int64(j.M), int64(j.Alpha), int64(j.Beta), int64(j.Gamma)
-		}
-		comp := make([]int64, n)
-		aux := make([]int64, n)
-		got, _ := fitnessUCDDCPArrays(seq32, p, m, a, b, gm, in.D, comp, aux)
+		costs, _ := fitnessPipeline(in).batchFitness(seq32)
+		got := costs[0]
 		want := ucddcp.OptimizeSequence(in, seq).Cost
 		if got != want {
 			t.Fatalf("trial %d (n=%d): device fitness %d, host evaluator %d", trial, n, got, want)
@@ -116,7 +120,7 @@ func TestDeviceFitnessParityUCDDCP(t *testing.T) {
 func TestAsyncSADeterministicAcrossDrivers(t *testing.T) {
 	in := benchInstanceCDD(15)
 	mk := func(par bool) core.Result {
-		return (&AsyncSA{Inst: in, SA: smallSA(), Ens: Ensemble{Chains: 12, Seed: 3}, Parallel: par}).MustSolve()
+		return solveOK(t, &AsyncSA{SA: smallSA(), Ens: Ensemble{Chains: 12, Seed: 3}, Parallel: par}, in)
 	}
 	a, b := mk(true), mk(false)
 	if a.BestCost != b.BestCost {
@@ -131,7 +135,7 @@ func TestAsyncSAFindsPaperExampleOptimum(t *testing.T) {
 	in := problem.PaperExample(problem.CDD)
 	cfg := smallSA()
 	cfg.Iterations = 300
-	res := (&AsyncSA{Inst: in, SA: cfg, Ens: Ensemble{Chains: 8, Seed: 1}, Parallel: true}).MustSolve()
+	res := solveOK(t, &AsyncSA{SA: cfg, Ens: Ensemble{Chains: 8, Seed: 1}, Parallel: true}, in)
 	eval := core.NewEvaluator(in)
 	if got := eval.Cost(res.BestSeq); got != res.BestCost {
 		t.Fatalf("reported %d but sequence evaluates to %d", res.BestCost, got)
@@ -147,8 +151,8 @@ func TestAsyncSAFindsPaperExampleOptimum(t *testing.T) {
 // at least as good as its own chain 0 (a pure reduction property).
 func TestEnsembleBeatsOneChain(t *testing.T) {
 	in := benchInstanceCDD(25)
-	one := (&AsyncSA{Inst: in, SA: smallSA(), Ens: Ensemble{Chains: 1, Seed: 9}, Parallel: false}).MustSolve()
-	many := (&AsyncSA{Inst: in, SA: smallSA(), Ens: Ensemble{Chains: 16, Seed: 9}, Parallel: true}).MustSolve()
+	one := solveOK(t, &AsyncSA{SA: smallSA(), Ens: Ensemble{Chains: 1, Seed: 9}, Parallel: false}, in)
+	many := solveOK(t, &AsyncSA{SA: smallSA(), Ens: Ensemble{Chains: 16, Seed: 9}, Parallel: true}, in)
 	if many.BestCost > one.BestCost {
 		t.Errorf("16-chain ensemble (%d) worse than its own first chain (%d)", many.BestCost, one.BestCost)
 	}
@@ -160,8 +164,8 @@ func TestEnsembleBeatsOneChain(t *testing.T) {
 // is zero.
 func TestSyncSARunsAndCollapses(t *testing.T) {
 	in := benchInstanceCDD(20)
-	res := (&SyncSA{Inst: in, SA: smallSA(), Ens: Ensemble{Chains: 8, Seed: 5},
-		MarkovLen: 5, Levels: 10, Parallel: true}).MustSolve()
+	res := solveOK(t, &SyncSA{SA: smallSA(), Ens: Ensemble{Chains: 8, Seed: 5},
+		MarkovLen: 5, Levels: 10, Parallel: true}, in)
 	if !problem.IsPermutation(res.BestSeq) {
 		t.Fatal("SyncSA best is not a permutation")
 	}
@@ -193,7 +197,7 @@ func TestParallelDPSODeterministicAcrossDrivers(t *testing.T) {
 	cfg := dpso.DefaultConfig()
 	cfg.Iterations = 40
 	mk := func(par bool) core.Result {
-		return (&ParallelDPSO{Inst: in, PSO: cfg, Ens: Ensemble{Chains: 10, Seed: 4}, Parallel: par}).MustSolve()
+		return solveOK(t, &ParallelDPSO{PSO: cfg, Ens: Ensemble{Chains: 10, Seed: 4}, Parallel: par}, in)
 	}
 	a, b := mk(true), mk(false)
 	if a.BestCost != b.BestCost {
@@ -205,7 +209,7 @@ func TestParallelDPSOValidResult(t *testing.T) {
 	in := benchInstanceUCDDCP(12)
 	cfg := dpso.DefaultConfig()
 	cfg.Iterations = 30
-	res := (&ParallelDPSO{Inst: in, PSO: cfg, Ens: Ensemble{Chains: 8, Seed: 2}, Parallel: true}).MustSolve()
+	res := solveOK(t, &ParallelDPSO{PSO: cfg, Ens: Ensemble{Chains: 8, Seed: 2}, Parallel: true}, in)
 	if !problem.IsPermutation(res.BestSeq) {
 		t.Fatal("best is not a permutation")
 	}
@@ -219,8 +223,7 @@ func TestGPUSAOnPaperExample(t *testing.T) {
 	in := problem.PaperExample(problem.CDD)
 	cfg := smallSA()
 	cfg.Iterations = 200
-	g := &GPUSA{Inst: in, SA: cfg, Grid: 2, Block: 16, Seed: 1}
-	res := g.MustSolve()
+	res := solveOK(t, &GPUSA{SA: cfg, Grid: 2, Block: 16, Seed: 1}, in)
 	if !problem.IsPermutation(res.BestSeq) {
 		t.Fatal("GPU best is not a permutation")
 	}
@@ -245,8 +248,8 @@ func TestGPUSACooperativeMatchesSequential(t *testing.T) {
 	in := benchInstanceCDD(12)
 	cfg := smallSA()
 	cfg.Iterations = 40
-	a := (&GPUSA{Inst: in, SA: cfg, Grid: 2, Block: 8, Seed: 6, Cooperative: false}).MustSolve()
-	b := (&GPUSA{Inst: in, SA: cfg, Grid: 2, Block: 8, Seed: 6, Cooperative: true}).MustSolve()
+	a := solveOK(t, &GPUSA{SA: cfg, Grid: 2, Block: 8, Seed: 6, Cooperative: false}, in)
+	b := solveOK(t, &GPUSA{SA: cfg, Grid: 2, Block: 8, Seed: 6, Cooperative: true}, in)
 	if a.BestCost != b.BestCost {
 		t.Errorf("sequential %d != cooperative %d", a.BestCost, b.BestCost)
 	}
@@ -256,7 +259,7 @@ func TestGPUSAOnUCDDCP(t *testing.T) {
 	in := benchInstanceUCDDCP(15)
 	cfg := smallSA()
 	cfg.Iterations = 80
-	res := (&GPUSA{Inst: in, SA: cfg, Grid: 2, Block: 16, Seed: 3}).MustSolve()
+	res := solveOK(t, &GPUSA{SA: cfg, Grid: 2, Block: 16, Seed: 3}, in)
 	eval := core.NewEvaluator(in)
 	if got := eval.Cost(res.BestSeq); got != res.BestCost {
 		t.Fatalf("reported %d but sequence evaluates to %d", res.BestCost, got)
@@ -267,7 +270,7 @@ func TestGPUDPSOValidAndConsistent(t *testing.T) {
 	in := benchInstanceCDD(12)
 	cfg := dpso.DefaultConfig()
 	cfg.Iterations = 40
-	res := (&GPUDPSO{Inst: in, PSO: cfg, Grid: 2, Block: 8, Seed: 5}).MustSolve()
+	res := solveOK(t, &GPUDPSO{PSO: cfg, Grid: 2, Block: 8, Seed: 5}, in)
 	if !problem.IsPermutation(res.BestSeq) {
 		t.Fatal("best is not a permutation")
 	}
@@ -288,7 +291,7 @@ func TestGPUSASimTimeGrowsWithIterations(t *testing.T) {
 	timeFor := func(iters int) float64 {
 		c := cfg
 		c.Iterations = iters
-		res := (&GPUSA{Inst: in, SA: c, Grid: 2, Block: 16, Seed: 8}).MustSolve()
+		res := solveOK(t, &GPUSA{SA: c, Grid: 2, Block: 16, Seed: 8}, in)
 		return res.SimSeconds
 	}
 	t1, t4 := timeFor(25), timeFor(100)
@@ -306,8 +309,8 @@ func TestGPUSASimTimeGrowsWithThreads(t *testing.T) {
 	in := benchInstanceCDD(20)
 	cfg := smallSA()
 	cfg.Iterations = 25
-	small := (&GPUSA{Inst: in, SA: cfg, Grid: 2, Block: 32, Seed: 8}).MustSolve()
-	big := (&GPUSA{Inst: in, SA: cfg, Grid: 8, Block: 192, Seed: 8}).MustSolve()
+	small := solveOK(t, &GPUSA{SA: cfg, Grid: 2, Block: 32, Seed: 8}, in)
+	big := solveOK(t, &GPUSA{SA: cfg, Grid: 8, Block: 192, Seed: 8}, in)
 	if big.SimSeconds <= small.SimSeconds {
 		t.Errorf("24x threads did not increase sim time: %g vs %g", small.SimSeconds, big.SimSeconds)
 	}

@@ -79,9 +79,10 @@ const (
 	NeighborMixed
 )
 
-// normalized returns the config with unset fields defaulted and bounds
-// enforced, so Chain code can assume sanity.
-func (c Config) normalized(n int) Config {
+// Normalized returns the config with unset fields defaulted and bounds
+// enforced for a genome of length n, so chain code (and the GPU pipeline,
+// which runs the same annealing per simulated thread) can assume sanity.
+func (c Config) Normalized(n int) Config {
 	d := DefaultConfig()
 	if c.Iterations <= 0 {
 		c.Iterations = d.Iterations
@@ -143,7 +144,7 @@ type Chain struct {
 // trajectory) are bit-identical to full evaluation, only cheaper.
 func NewChain(cfg Config, eval core.Evaluator, rng *xrand.XORWOW) *Chain {
 	n := eval.Instance().GenomeLen()
-	cfg = cfg.normalized(n)
+	cfg = cfg.Normalized(n)
 	c := &Chain{
 		cfg:     cfg,
 		eval:    eval,

@@ -268,11 +268,11 @@ func TestEvaluationAccounting(t *testing.T) {
 }
 
 func TestConfigNormalization(t *testing.T) {
-	cfg := Config{Pert: 100}.normalized(5)
+	cfg := Config{Pert: 100}.Normalized(5)
 	if cfg.Pert != 5 {
 		t.Errorf("Pert clamped to %d, want 5", cfg.Pert)
 	}
-	cfg = Config{Cooling: 2.0}.normalized(5)
+	cfg = Config{Cooling: 2.0}.Normalized(5)
 	if cfg.Cooling != 0.88 {
 		t.Errorf("invalid cooling defaulted to %v, want 0.88", cfg.Cooling)
 	}

@@ -47,8 +47,6 @@ type SolveRequest struct {
 	Cooling     float64 `json:"cooling,omitempty"`
 	Pert        int     `json:"pert,omitempty"`
 	TempSamples int     `json:"tempSamples,omitempty"`
-	// Persistent selects the persistent-kernel GPU SA engine.
-	Persistent bool `json:"persistent,omitempty"`
 	// Workers bounds the host goroutines of the cpu-parallel engine.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMs is the per-request wall-clock budget in milliseconds,
@@ -86,7 +84,6 @@ func (r *SolveRequest) options() duedate.Options {
 		Cooling:     r.Cooling,
 		Pert:        r.Pert,
 		TempSamples: r.TempSamples,
-		Persistent:  r.Persistent,
 		Workers:     r.Workers,
 	}
 }
@@ -97,10 +94,10 @@ func (r *SolveRequest) options() duedate.Options {
 // worker counts (pinned by the engine-layer tests) — as is the metrics
 // level, which never perturbs a trajectory.
 func (r *SolveRequest) cacheKey() string {
-	return fmt.Sprintf("%s|%s|%s|it=%d|g=%d|b=%d|seed=%d|mu=%g|pert=%d|ts=%d|pers=%t",
+	return fmt.Sprintf("%s|%s|%s|it=%d|g=%d|b=%d|seed=%d|mu=%g|pert=%d|ts=%d",
 		r.Instance.CanonicalHash(), *r.Algorithm, r.Engine,
 		r.Iterations, r.Grid, r.Block, r.Seed,
-		r.Cooling, r.Pert, r.TempSamples, r.Persistent)
+		r.Cooling, r.Pert, r.TempSamples)
 }
 
 // SolveResponse is the wire form of one solve outcome. For identical

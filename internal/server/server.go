@@ -10,7 +10,7 @@
 // answers 429 the moment the queue is full instead of letting latency
 // grow without bound. Per-request deadlines are stamped at admission (so
 // queue wait counts against them) and honored cooperatively by the
-// engines via core.Budget — an expired deadline returns the valid
+// engines through the solve context — an expired deadline returns the valid
 // best-so-far with interrupted=true, never an error. Completed
 // full-budget results enter an LRU cache keyed by (canonical instance
 // hash, algorithm, engine, seed, iterations, geometry, SA knobs), so

@@ -350,6 +350,9 @@ func TestErrorStatusMapping(t *testing.T) {
 			http.StatusBadRequest, CodeInvalidRequest},
 		{"missing-instance", `{}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"unknown-field", `{"instance":` + instJSON(t, valid) + `,"bogus":1}`, http.StatusBadRequest, CodeInvalidRequest},
+		// "persistent" is not a wire field; strict decoding rejects it
+		// like any other unknown one.
+		{"removed-field-persistent", `{"instance":` + instJSON(t, valid) + `,"persistent":true}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"malformed-json", `{"instance":`, http.StatusBadRequest, CodeInvalidRequest},
 	}
 	// Every endpoint speaks the same envelope: the same body submitted
@@ -376,6 +379,22 @@ func TestErrorStatusMapping(t *testing.T) {
 			})
 		}
 	}
+	// The batch decoder is just as strict inside its request slots.
+	t.Run("/v1/batch/removed-field-persistent", func(t *testing.T) {
+		body := `{"requests":[{"instance":` + instJSON(t, valid) + `,"persistent":true}]}`
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatalf("non-JSON error body: %v", err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || er.Error.Code != CodeInvalidRequest {
+			t.Errorf("answered %d/%q (want 400/%s)", resp.StatusCode, er.Error.Code, CodeInvalidRequest)
+		}
+	})
 }
 
 // reqBody marshals a SolveRequest for the table tests.

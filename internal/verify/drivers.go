@@ -38,9 +38,7 @@ func (b Budget) withDefaults() Budget {
 }
 
 // RegisteredDrivers adapts every algorithm×engine pairing of the facade
-// registry into verification drivers, plus the persistent-kernel SA/GPU
-// variant (a distinct engine implementation behind the same pairing).
-// Because the list is enumerated from duedate.Pairings() at call time, any
+// registry into verification drivers. Because the list is enumerated from duedate.Pairings() at call time, any
 // future engine is under differential test the moment it self-registers.
 func RegisteredDrivers(b Budget) []Driver {
 	b = b.withDefaults()
@@ -61,11 +59,6 @@ func RegisteredDrivers(b Budget) []Driver {
 			TempSamples: b.TempSamples,
 		}
 		drivers = append(drivers, mk(p.Algorithm.String()+"/"+p.Engine.String(), opts))
-		if p.Algorithm == duedate.SA && p.Engine == duedate.EngineGPU {
-			popts := opts
-			popts.Persistent = true
-			drivers = append(drivers, mk("SA/gpu-persistent", popts))
-		}
 	}
 	return drivers
 }

@@ -216,11 +216,11 @@ func TestRegisteredDriversCoverEveryPairing(t *testing.T) {
 	for _, d := range drivers {
 		names[d.Name] = true
 	}
-	// 12 registry pairings + the persistent SA/GPU variant.
-	if len(drivers) != 13 {
-		t.Fatalf("RegisteredDrivers returned %d drivers (%v), want 13", len(drivers), names)
+	// One driver per registry pairing.
+	if len(drivers) != 12 {
+		t.Fatalf("RegisteredDrivers returned %d drivers (%v), want 12", len(drivers), names)
 	}
-	for _, want := range []string{"SA/gpu", "SA/gpu-persistent", "SA/cpu-serial", "DPSO/gpu", "TA/cpu-parallel", "ES/cpu-serial", "EXACT-DP/cpu-serial", "AUTO/cpu-parallel"} {
+	for _, want := range []string{"SA/gpu", "SA/cpu-serial", "DPSO/gpu", "TA/cpu-parallel", "ES/cpu-serial", "EXACT-DP/cpu-serial", "AUTO/cpu-parallel"} {
 		if !names[want] {
 			t.Errorf("driver %q missing from %v", want, names)
 		}

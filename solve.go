@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -133,10 +134,6 @@ type Options struct {
 	// TempSamples overrides the T₀ estimation sample count (default
 	// 5000).
 	TempSamples int
-	// Persistent selects the persistent-kernel GPU engine for SA: one
-	// launch runs the whole annealing loop instead of four kernels per
-	// iteration (identical results, lower launch overhead).
-	Persistent bool
 	// Workers bounds the host goroutines of EngineCPUParallel (default
 	// GOMAXPROCS). Serial and GPU engines ignore it.
 	Workers int
@@ -164,6 +161,9 @@ func (o Options) normalized() (Options, error) {
 	if o.Workers < 0 {
 		return o, fmt.Errorf("duedate: %w: negative Workers %d (zero selects GOMAXPROCS)", ErrInvalidOptions, o.Workers)
 	}
+	if math.IsNaN(o.Cooling) || math.IsInf(o.Cooling, 0) {
+		return o, fmt.Errorf("duedate: %w: non-finite Cooling %g", ErrInvalidOptions, o.Cooling)
+	}
 	if o.Algorithm == Auto {
 		// The meta-driver registers exactly one pairing (AUTO on
 		// cpu-parallel) and dispatches to whatever engine its calibration
@@ -181,11 +181,6 @@ func (o Options) normalized() (Options, error) {
 		o.Seed = 1
 	}
 	return o, nil
-}
-
-// budget translates the option bounds into the engine-layer budget.
-func (o Options) budget() core.Budget {
-	return core.Budget{Deadline: o.Deadline}
 }
 
 // Driver builds a configured solver for one algorithm×engine pairing.
@@ -257,6 +252,11 @@ func SolveContext(ctx context.Context, in *Instance, opts Options) (Result, erro
 	e, err := lookupDriver(opts)
 	if err != nil {
 		return Result{}, err
+	}
+	if !opts.Deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, opts.Deadline)
+		defer cancel()
 	}
 	return e.driver(opts).Solve(ctx, in)
 }
