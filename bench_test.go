@@ -343,11 +343,12 @@ func batchBenchRows(batch, size int) []int {
 }
 
 // BenchmarkBatchEvaluator times the batch evaluation core on row-major
-// populations: B sequences per CostRows call through the
-// pair-interleaved kernels, reporting ns/seq (per-sequence cost). The
-// "single" mode scores the same rows one at a time through the
-// per-sequence Evaluator — the like-for-like baseline the batch modes
-// are judged against. The benchjson post-processor derives the
+// populations: B sequences per CostRows call, one row loop over the
+// same per-row kernel Cost runs, reporting ns/seq (per-sequence cost).
+// The "single" mode scores the same rows one at a time through
+// core.NewEvaluator's Cost — the like-for-like baseline the batch modes
+// are judged against, so the pair isolates per-call overhead and row
+// cache effects. The benchjson post-processor derives the
 // batch-vs-single speedup from the two.
 func BenchmarkBatchEvaluator(b *testing.B) {
 	const baseRows = 16

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -155,6 +156,49 @@ func TestFacadeMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsFullDeltaSplit pins the counter contract of core.Metrics:
+// on an uninterrupted counters-level solve, every evaluation is counted
+// as either full or delta — engines that do not distinguish report
+// everything as full — for every registered pairing on every kind it
+// declares.
+func TestMetricsFullDeltaSplit(t *testing.T) {
+	earlyWork, err := duedate.NewEarlyWorkInstance("split-earlywork", []int{6, 5, 2, 4, 4}, 2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances := map[duedate.Kind]*duedate.Instance{
+		duedate.CDD:       duedate.PaperExample(duedate.CDD),
+		duedate.UCDDCP:    duedate.PaperExample(duedate.UCDDCP),
+		duedate.EARLYWORK: earlyWork,
+	}
+	for _, p := range duedate.Pairings() {
+		for _, kind := range p.Kinds {
+			in := instances[kind]
+			if p.Algorithm == duedate.ExactDP && kind == duedate.CDD {
+				in = agreeableInstance(t, "split-agreeable", 12, false)
+			}
+			t.Run(p.Algorithm.String()+"/"+p.Engine.String()+"/"+kind.String(), func(t *testing.T) {
+				res, err := duedate.Solve(in, duedate.Options{
+					Algorithm: p.Algorithm, Engine: p.Engine,
+					Iterations: 30, Grid: 1, Block: 8, TempSamples: 50, Seed: 9,
+					Metrics: duedate.MetricsCounters,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Interrupted || res.Metrics == nil {
+					t.Fatalf("interrupted=%v metrics=%v on an undeadlined counters solve", res.Interrupted, res.Metrics)
+				}
+				m := res.Metrics
+				if m.FullEvaluations+m.DeltaEvaluations != res.Evaluations {
+					t.Errorf("full %d + delta %d != Result.Evaluations %d",
+						m.FullEvaluations, m.DeltaEvaluations, res.Evaluations)
+				}
+			})
+		}
+	}
+}
+
 func TestSolveRejectsGPUBaselines(t *testing.T) {
 	in := duedate.PaperExample(duedate.CDD)
 	for _, algo := range []duedate.Algorithm{duedate.TA, duedate.ES} {
@@ -181,6 +225,70 @@ func TestOptimizeSequenceRejections(t *testing.T) {
 	if _, _, err := duedate.OptimizeSequence(in, []int{0, 0, 1, 2, 3}); !errors.Is(err, duedate.ErrInvalidSequence) {
 		t.Errorf("non-permutation: err = %v, want ErrInvalidSequence", err)
 	}
+}
+
+// TestOptimizeSequenceProperty checks the facade's second-layer entry
+// point on random genomes for every kind on one, two and three
+// machines: the returned schedule validates, it re-evaluates to the
+// returned cost, which Cost reports too, and single-machine schedules
+// keep Assign and Starts nil so their wire form is unchanged.
+func TestOptimizeSequenceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, kind := range []duedate.Kind{duedate.CDD, duedate.UCDDCP, duedate.EARLYWORK} {
+		for machines := 1; machines <= 3; machines++ {
+			for trial := 0; trial < 20; trial++ {
+				in := randomFacadeInstance(t, rng, kind, machines)
+				genome := rng.Perm(in.GenomeLen())
+				sched, cost, err := duedate.OptimizeSequence(in, genome)
+				if err != nil {
+					t.Fatalf("%s m=%d: %v", kind, machines, err)
+				}
+				if err := sched.Validate(in); err != nil {
+					t.Fatalf("%s m=%d genome %v: invalid schedule: %v", kind, machines, genome, err)
+				}
+				if got := sched.Cost(in); got != cost {
+					t.Errorf("%s m=%d genome %v: schedule re-evaluates to %d, returned %d", kind, machines, genome, got, cost)
+				}
+				if got, err := duedate.Cost(in, genome); err != nil || got != cost {
+					t.Errorf("%s m=%d genome %v: Cost = %d (%v), OptimizeSequence %d", kind, machines, genome, got, err, cost)
+				}
+				if machines == 1 && (sched.Assign != nil || sched.Starts != nil) {
+					t.Errorf("%s m=1: Assign %v / Starts %v, want nil", kind, sched.Assign, sched.Starts)
+				}
+			}
+		}
+	}
+}
+
+// randomFacadeInstance draws a small valid instance of the kind on the
+// given machine count: p ∈ [1,9], penalties ∈ [0,9], and for UCDDCP
+// m ∈ [1,p], γ ∈ [0,5] with the kind's unrestricted due date d ≥ ΣP.
+func randomFacadeInstance(t *testing.T, rng *rand.Rand, kind duedate.Kind, machines int) *duedate.Instance {
+	t.Helper()
+	n := 1 + rng.Intn(7)
+	p, m, alpha, beta, gamma := make([]int, n), make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+	sum := 0
+	for i := range p {
+		p[i] = 1 + rng.Intn(9)
+		m[i] = 1 + rng.Intn(p[i])
+		alpha[i], beta[i], gamma[i] = rng.Intn(10), rng.Intn(10), rng.Intn(6)
+		sum += p[i]
+	}
+	var in *duedate.Instance
+	var err error
+	switch kind {
+	case duedate.CDD:
+		in, err = duedate.NewCDDInstance("prop-cdd", p, alpha, beta, int64(rng.Intn(sum+1)))
+	case duedate.UCDDCP:
+		in, err = duedate.NewUCDDCPInstance("prop-ucddcp", p, m, alpha, beta, gamma, int64(sum+rng.Intn(sum+1)))
+	default:
+		in, err = duedate.NewEarlyWorkInstance("prop-earlywork", p, machines, int64(1+rng.Intn(sum)))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Machines = machines
+	return in
 }
 
 func TestBenchmarkGenerators(t *testing.T) {

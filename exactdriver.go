@@ -38,7 +38,8 @@ type exactDPSolver struct {
 func (s *exactDPSolver) Name() string { return "EXACT-DP" }
 
 // Solve runs the DP once. Evaluations reports stored DP states (the
-// work unit of this driver), mirrored into Metrics when collection is on.
+// work unit of this driver), mirrored into Metrics as full evaluations
+// when collection is on, as AUTO's DP route counts them.
 func (s *exactDPSolver) Solve(ctx context.Context, in *problem.Instance) (core.Result, error) {
 	col := obs.NewCollector(s.opts.Metrics)
 	start := time.Now()
@@ -79,6 +80,7 @@ func (s *exactDPSolver) Solve(ctx context.Context, in *problem.Instance) (core.R
 		Elapsed:     elapsed,
 		Optimal:     true,
 	}
+	col.AddFullEvals(r.Nodes)
 	res.Metrics = col.Snapshot(res.Evaluations, 1, 1, elapsed)
 	s.emit(res)
 	return res, nil

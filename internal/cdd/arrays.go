@@ -88,8 +88,9 @@ func OptimizeArrays[S Index](seq []S, p, alpha, beta []int64, d int64, comp []in
 // sweep is split at τ so each half reads a single penalty stream without a
 // per-iteration branch, and the breakpoint walk reconstructs the
 // completion times it needs by peeling processing times off the running
-// sum. It is the fastest full evaluation and backs Evaluator.Cost, where
-// callers never consume the timing details.
+// sum. It is the safe (bounds-checked) reference for CostRowArrays, the
+// production kernel with the same arithmetic over unchecked gathers: the
+// verify oracle chain and the fuzz targets compare the two.
 func CostArrays[S Index](seq []S, p, alpha, beta []int64, d int64) int64 {
 	n := len(seq)
 	var t, a, b, ac, bc int64

@@ -30,62 +30,10 @@ type Result struct {
 
 // OptimizeSequence computes the optimal start time and minimal penalty for
 // processing the jobs of in in the order given by seq. seq holds 0-based
-// job indices. The sequence is not modified. The function allocates one
-// scratch slice; use an Evaluator for allocation-free repeated evaluation.
-func OptimizeSequence(in *problem.Instance, seq []int) Result {
-	e := NewEvaluator(in)
-	return e.Optimize(seq)
-}
-
-// Evaluator evaluates sequences of one instance repeatedly without
-// allocation. It is the hot inner loop of every metaheuristic in this
-// repository; a single call costs O(n) — one fused pass that carries the
-// weighted penalty aggregates alongside the completion times, so the final
-// cost is O(1) from sums (see OptimizeArrays).
-//
-// An Evaluator is not safe for concurrent use; create one per goroutine
-// (or per simulated GPU thread).
-type Evaluator struct {
-	in *problem.Instance
-	// p, alpha, beta are the job parameters widened to int64 once at
-	// construction, indexed by job id, so the hot loop avoids per-call
-	// struct-field loads and conversions.
-	p, alpha, beta []int64
-	// comp is scratch space for completion times by position.
-	comp []int64
-}
-
-// NewEvaluator returns an evaluator for the given instance.
-func NewEvaluator(in *problem.Instance) *Evaluator {
-	p, alpha, beta := ParamArrays(in)
-	return &Evaluator{in: in, p: p, alpha: alpha, beta: beta, comp: make([]int64, in.N())}
-}
-
-// ParamArrays widens the instance's job parameters into the job-indexed
-// int64 arrays the array-based evaluation cores consume (the layout the
-// GPU pipeline keeps in device memory).
-func ParamArrays(in *problem.Instance) (p, alpha, beta []int64) {
-	n := in.N()
-	p = make([]int64, n)
-	alpha = make([]int64, n)
-	beta = make([]int64, n)
-	for i, j := range in.Jobs {
-		p[i], alpha[i], beta[i] = int64(j.P), int64(j.Alpha), int64(j.Beta)
-	}
-	return p, alpha, beta
-}
-
-// Instance returns the instance the evaluator was built for.
-func (e *Evaluator) Instance() *problem.Instance { return e.in }
-
-// Cost returns only the optimal penalty of the sequence. It is the
-// fitness function used by the metaheuristics; the cost-only core skips
-// the completion-time stores that Optimize's callers need.
-func (e *Evaluator) Cost(seq []int) int64 {
-	return CostArrays(seq, e.p, e.alpha, e.beta, e.in.D)
-}
-
-// Optimize computes the optimal timing of the sequence.
+// job indices. The sequence is not modified. It is the package's
+// Result-returning entry point (schedule materialization and the test
+// oracles); the metaheuristics score through core's evaluators, which
+// run CostRowArrays over a shared column snapshot.
 //
 // The algorithm mirrors Section IV-A of the paper:
 //
@@ -103,7 +51,22 @@ func (e *Evaluator) Cost(seq []int) int64 {
 // The implementation is the fused single-pass form (OptimizeArrays): the
 // weighted aggregates Σα, Σβ, Σα·C, Σβ·C travel with the breakpoint walk,
 // so the final cost is O(1) from sums instead of a second sweep.
-func (e *Evaluator) Optimize(seq []int) Result {
-	cost, start, dueJob, _ := OptimizeArrays(seq, e.p, e.alpha, e.beta, e.in.D, e.comp[:len(seq)])
+func OptimizeSequence(in *problem.Instance, seq []int) Result {
+	p, alpha, beta := ParamArrays(in)
+	cost, start, dueJob, _ := OptimizeArrays(seq, p, alpha, beta, in.D, make([]int64, len(seq)))
 	return Result{Cost: cost, Start: start, DueJob: dueJob}
+}
+
+// ParamArrays widens the instance's job parameters into the job-indexed
+// int64 arrays the array-based evaluation cores consume (the layout the
+// GPU pipeline keeps in device memory).
+func ParamArrays(in *problem.Instance) (p, alpha, beta []int64) {
+	n := in.N()
+	p = make([]int64, n)
+	alpha = make([]int64, n)
+	beta = make([]int64, n)
+	for i, j := range in.Jobs {
+		p[i], alpha[i], beta[i] = int64(j.P), int64(j.Alpha), int64(j.Beta)
+	}
+	return p, alpha, beta
 }

@@ -109,9 +109,9 @@ func TestAgainstReference(t *testing.T) {
 	}
 }
 
-// TestCostArraysMatchesOptimize pins the cost-only fast path of
-// Evaluator.Cost to the full Optimize pass, bit for bit, over random
-// instances, random sequences and degenerate due dates.
+// TestCostArraysMatchesOptimize pins the cost-only pass CostArrays to
+// the fused OptimizeArrays pass, bit for bit, over random instances,
+// random sequences and degenerate due dates.
 func TestCostArraysMatchesOptimize(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 300; trial++ {
@@ -122,11 +122,10 @@ func TestCostArraysMatchesOptimize(t *testing.T) {
 			sum += int64(j.P)
 		}
 		for _, d := range []int64{in.D, 0, 1, sum, sum + 3} {
-			in.D = d
-			e := NewEvaluator(in)
+			p, alpha, beta := ParamArrays(in)
 			seq := randomSequence(rng, n)
-			want := e.Optimize(seq).Cost
-			if got := e.Cost(seq); got != want {
+			want, _, _, _ := OptimizeArrays(seq, p, alpha, beta, d, make([]int64, n))
+			if got := CostArrays(seq, p, alpha, beta, d); got != want {
 				t.Fatalf("trial %d (n=%d, d=%d): Cost %d != Optimize %d\njobs=%+v seq=%v",
 					trial, n, d, got, want, in.Jobs, seq)
 			}
@@ -222,36 +221,16 @@ func TestUnrestrictedAlwaysDueJob(t *testing.T) {
 	}
 }
 
-// TestEvaluatorReuse verifies the evaluator gives identical answers across
-// repeated and interleaved sequences (its scratch state must not leak).
-func TestEvaluatorReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	in := randomInstance(rng, 12)
-	e := NewEvaluator(in)
-	seqA := randomSequence(rng, 12)
-	seqB := randomSequence(rng, 12)
-	a1 := e.Cost(seqA)
-	b1 := e.Cost(seqB)
-	a2 := e.Cost(seqA)
-	b2 := e.Cost(seqB)
-	if a1 != a2 || b1 != b2 {
-		t.Errorf("evaluator not reusable: a %d/%d, b %d/%d", a1, a2, b1, b2)
-	}
-	if fresh := NewEvaluator(in).Cost(seqA); fresh != a1 {
-		t.Errorf("fresh evaluator disagrees: %d vs %d", fresh, a1)
-	}
-}
-
 func BenchmarkOptimizeSequence(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{10, 100, 1000} {
 		in := randomInstance(rng, n)
 		seq := randomSequence(rng, n)
-		e := NewEvaluator(in)
+		p, alpha, beta := ParamArrays(in)
 		b.Run(sizeName(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e.Cost(seq)
+				CostArrays(seq, p, alpha, beta, in.D)
 			}
 		})
 	}

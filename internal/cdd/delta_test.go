@@ -86,11 +86,12 @@ func TestDeltaMatchesFullRandomMoves(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(64)
 		in := randomInstance(rng, n)
-		full := NewEvaluator(in)
-		de := NewDeltaEvaluator(in)
+		p, alpha, beta := ParamArrays(in)
+		full := func(seq []int) int64 { return CostArrays(seq, p, alpha, beta, in.D) }
+		de := NewDelta[int](p, alpha, beta, in.D)
 
 		base := randomSequence(rng, n)
-		if got, want := de.Reset(base), full.Cost(base); got != want {
+		if got, want := de.Reset(base), full(base); got != want {
 			t.Fatalf("trial %d: Reset cost %d, full %d", trial, got, want)
 		}
 		cand := make([]int, n)
@@ -99,7 +100,7 @@ func TestDeltaMatchesFullRandomMoves(t *testing.T) {
 			copy(cand, base)
 			touched := applyMove(rng, cand, scratch)
 			got := de.Propose(cand, touched)
-			want := full.Cost(cand)
+			want := full(cand)
 			if got != want {
 				t.Fatalf("trial %d step %d (n=%d, d=%d): Propose %d, full %d\nbase=%v\ncand=%v\ntouched=%v",
 					trial, step, n, in.D, got, want, base, cand, touched)
@@ -113,17 +114,6 @@ func TestDeltaMatchesFullRandomMoves(t *testing.T) {
 					t.Fatalf("trial %d step %d: post-commit Propose %d, want %d", trial, step, again, want)
 				}
 			}
-		}
-		// Stateless Cost must be usable at any point without disturbing
-		// the cache.
-		probe := randomSequence(rng, n)
-		if got, want := de.Cost(probe), full.Cost(probe); got != want {
-			t.Fatalf("trial %d: stateless Cost %d, full %d", trial, got, want)
-		}
-		copy(cand, base)
-		touched := applyMove(rng, cand, scratch)
-		if got, want := de.Propose(cand, touched), full.Cost(cand); got != want {
-			t.Fatalf("trial %d: post-probe Propose %d, full %d", trial, got, want)
 		}
 	}
 }
@@ -150,8 +140,8 @@ func TestDeltaEdgeDueDates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full := NewEvaluator(in)
-			de := NewDeltaEvaluator(in)
+			pc, ac, bc := ParamArrays(in)
+			de := NewDelta[int](pc, ac, bc, d)
 			base := randomSequence(rng, n)
 			de.Reset(base)
 			cand := make([]int, n)
@@ -159,7 +149,7 @@ func TestDeltaEdgeDueDates(t *testing.T) {
 			for step := 0; step < 40; step++ {
 				copy(cand, base)
 				touched := applyMove(rng, cand, scratch)
-				if got, want := de.Propose(cand, touched), full.Cost(cand); got != want {
+				if got, want := de.Propose(cand, touched), CostArrays(cand, pc, ac, bc, d); got != want {
 					t.Fatalf("d=%d n=%d step %d: Propose %d, full %d\ncand=%v", d, n, step, got, want, cand)
 				}
 				if rng.Intn(3) != 0 {

@@ -39,8 +39,9 @@ func cddFromBytes(data []byte, dRaw uint64) *problem.Instance {
 // FuzzCDDDeltaVsFull drives the incremental propose/commit evaluator
 // through a random walk of swap and segment-reversal moves on
 // fuzzer-chosen instances and cross-checks every proposal against the
-// stateless full pass. The delta path promises bit-identical costs; any
-// divergence is a bug in the Fenwick-backed correction machinery.
+// safe cost-only reference pass CostArrays. The delta path promises
+// bit-identical costs; any divergence is a bug in the Fenwick-backed
+// correction machinery.
 func FuzzCDDDeltaVsFull(f *testing.F) {
 	f.Add([]byte{6, 7, 9, 5, 9, 5, 2, 6, 4, 4, 9, 3, 4, 2, 1}, uint64(16), uint64(1))
 	f.Add([]byte{1, 0, 1, 1, 1, 0, 20, 10, 15}, uint64(0), uint64(7))
@@ -51,10 +52,10 @@ func FuzzCDDDeltaVsFull(f *testing.F) {
 		}
 		n := in.N()
 		rng := xrand.New(seed | 1)
-		dl := cdd.NewDeltaEvaluator(in)
-		full := cdd.NewEvaluator(in)
+		p, alpha, beta := cdd.ParamArrays(in)
+		dl := cdd.NewDelta[int](p, alpha, beta, in.D)
 		base := problem.IdentitySequence(n)
-		if got, want := dl.Reset(base), full.Cost(base); got != want {
+		if got, want := dl.Reset(base), cdd.CostArrays(base, p, alpha, beta, in.D); got != want {
 			t.Fatalf("Reset=%d, full=%d on identity", got, want)
 		}
 		cand := make([]int, n)
@@ -75,7 +76,7 @@ func FuzzCDDDeltaVsFull(f *testing.F) {
 					pos = append(pos, k)
 				}
 			}
-			if got, want := dl.Propose(cand, pos), full.Cost(cand); got != want {
+			if got, want := dl.Propose(cand, pos), cdd.CostArrays(cand, p, alpha, beta, in.D); got != want {
 				t.Fatalf("step %d: Propose=%d, full=%d (d=%d base=%v cand=%v pos=%v)",
 					step, got, want, in.D, base, cand, pos)
 			}

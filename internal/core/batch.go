@@ -6,17 +6,17 @@ import (
 	"repro/internal/ucddcp"
 )
 
-// This file is the batch evaluation layer: a structure-of-arrays
-// snapshot of the instance (SoAInstance) plus an evaluator that scores
-// whole populations of sequences per call (BatchEvaluator). The batch
-// kernels in internal/cdd and internal/ucddcp run each row through the
-// exact single-row array cores over hoisted SoA columns, so a batch
-// call beats B single Cost calls on throughput by amortizing per-call
-// dispatch, Result building and scratch setup while remaining
-// bit-identical by construction — the invariant every consumer (the
-// ensemble runtime's per-chain scoring, the cudasim fitness kernel,
-// DPSO's population evaluation) relies on and the verify oracle chain
-// enforces.
+// This file is the evaluation layer: a structure-of-arrays snapshot of
+// the instance (SoAInstance) plus the one evaluator every consumer
+// scores through (BatchEvaluator). Each face — one sequence, a flat
+// row matrix, a slice of sequences, device rows with op counts — is one
+// row loop over the same per-row kernels (cdd.CostRowArrays,
+// ucddcp.OptimizeArrays, or the genome scorer on delimiter genomes)
+// over hoisted SoA columns, so every face is bit-identical by
+// construction — the invariant every consumer (the metaheuristic
+// chains, the ensemble runtime, the cudasim fitness kernel, DPSO's
+// population evaluation) relies on and the verify oracle chain
+// enforces against the safe reference cores.
 
 // SoAInstance is a structure-of-arrays snapshot of one instance's job
 // parameters: every per-job column widened to int64 and packed into a
@@ -73,12 +73,11 @@ func (s *SoAInstance) genomeCoded() bool {
 	return s.Machines > 1 || s.Kind == problem.EARLYWORK
 }
 
-// BatchEvaluator scores batches of sequences against one SoAInstance
-// snapshot: B sequences per call through the batch array kernels, with
-// costs bit-identical to Evaluator.Cost on each row. It
-// also implements Evaluator (Cost is the batch of one, on the same
-// kernels). A BatchEvaluator carries scratch and is not safe for
-// concurrent use; create one per goroutine.
+// BatchEvaluator scores sequences against one SoAInstance snapshot:
+// one per call (Cost, the Evaluator face NewEvaluator returns) or B per
+// call through the batch faces, with identical costs on each row. A
+// BatchEvaluator carries scratch and is not safe for concurrent use;
+// create one per goroutine.
 type BatchEvaluator struct {
 	in  *problem.Instance
 	soa *SoAInstance
@@ -104,16 +103,6 @@ func NewBatchEvaluatorSoA(in *problem.Instance, soa *SoAInstance) *BatchEvaluato
 	return e
 }
 
-// BatchEvaluatorFor adapts an existing evaluator to the batch API:
-// a BatchEvaluator passes through unchanged, anything else gets a fresh
-// snapshot of its instance.
-func BatchEvaluatorFor(eval Evaluator) *BatchEvaluator {
-	if be, ok := eval.(*BatchEvaluator); ok {
-		return be
-	}
-	return NewBatchEvaluator(eval.Instance())
-}
-
 // Instance implements Evaluator.
 func (e *BatchEvaluator) Instance() *problem.Instance { return e.in }
 
@@ -121,16 +110,15 @@ func (e *BatchEvaluator) Instance() *problem.Instance { return e.in }
 func (e *BatchEvaluator) SoA() *SoAInstance { return e.soa }
 
 // Cost implements Evaluator: the batch of one, evaluated on the same
-// array kernels (for UCDDCP this skips the per-call compression-vector
-// zeroing of the Result-building path). On genome-coded snapshots seq is
-// a delimiter genome and the cost is the sum of per-machine segment
-// costs.
+// array kernels (for UCDDCP with a nil compression vector, so there is
+// no per-call zeroing). On genome-coded snapshots seq is a delimiter
+// genome and the cost is the sum of per-machine segment costs.
 func (e *BatchEvaluator) Cost(seq []int) int64 {
 	s := e.soa
-	if s.genomeCoded() {
+	switch {
+	case s.genomeCoded():
 		return GenomeCostArrays(seq, s, e.comp, e.aux)
-	}
-	if s.Kind == problem.UCDDCP {
+	case s.Kind == problem.UCDDCP:
 		c, _, _, _ := ucddcp.OptimizeArrays(seq, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, e.comp, e.aux, nil)
 		return c
 	}
@@ -142,34 +130,10 @@ func (e *BatchEvaluator) Cost(seq []int) int64 {
 // pipeline keeps its population in. The row stride is the genome length
 // L (equal to N on single-machine instances).
 func (e *BatchEvaluator) CostRows(rows []int, costs []int64) {
-	s := e.soa
-	if s.genomeCoded() {
-		for i := range costs {
-			costs[i] = GenomeCostArrays(rows[i*s.L:(i+1)*s.L], s, e.comp, e.aux)
-		}
-		return
+	l := e.soa.L
+	for i := range costs {
+		costs[i] = e.Cost(rows[i*l : (i+1)*l])
 	}
-	if s.Kind == problem.UCDDCP {
-		ucddcp.BatchCostArrays(rows, s.N, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, e.comp, e.aux, costs)
-		return
-	}
-	cdd.BatchCostArrays(rows, s.N, s.P, s.Alpha, s.Beta, s.D, costs)
-}
-
-// CostRows32 is CostRows for int32 rows (the device sequence layout).
-func (e *BatchEvaluator) CostRows32(rows []int32, costs []int64) {
-	s := e.soa
-	if s.genomeCoded() {
-		for i := range costs {
-			costs[i] = GenomeCostArrays(rows[i*s.L:(i+1)*s.L], s, e.comp, e.aux)
-		}
-		return
-	}
-	if s.Kind == problem.UCDDCP {
-		ucddcp.BatchCostArrays(rows, s.N, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, e.comp, e.aux, costs)
-		return
-	}
-	cdd.BatchCostArrays(rows, s.N, s.P, s.Alpha, s.Beta, s.D, costs)
 }
 
 // CostSeqs scores seqs[i] into costs[i] (len(costs) = len(seqs)) without
@@ -187,15 +151,12 @@ func (e *BatchEvaluator) CostSeqs(seqs [][]int, costs []int64) {
 // OptimizeArrays path it replaces.
 func (e *BatchEvaluator) FitnessRows32(rows []int32, costs []int64, ops []int) {
 	s := e.soa
-	if s.genomeCoded() {
-		for i := range costs {
-			costs[i], ops[i] = GenomeFitnessArrays(rows[i*s.L:(i+1)*s.L], s, e.comp, e.aux)
+	for i := range costs {
+		row := rows[i*s.L : (i+1)*s.L]
+		if s.genomeCoded() {
+			costs[i], ops[i] = GenomeFitnessArrays(row, s, e.comp, e.aux)
+		} else {
+			costs[i], ops[i] = segmentFitness(row, s, e.comp, e.aux)
 		}
-		return
 	}
-	if s.Kind == problem.UCDDCP {
-		ucddcp.BatchFitnessArrays(rows, s.N, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, e.comp, e.aux, costs, ops)
-		return
-	}
-	cdd.BatchFitnessArrays(rows, s.N, s.P, s.Alpha, s.Beta, s.D, e.comp, costs, ops)
 }

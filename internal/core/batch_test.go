@@ -62,13 +62,23 @@ func singleFitness(be *BatchEvaluator, seq []int) (int64, int) {
 	return c, ops
 }
 
+// referenceCost is the safe per-sequence reference the production row
+// kernels must reproduce: the bounds-checked cdd.CostArrays, or the
+// Result-returning ucddcp.OptimizeSequence.
+func referenceCost(in *problem.Instance, seq []int) int64 {
+	if in.Kind == problem.UCDDCP {
+		return ucddcp.OptimizeSequence(in, seq).Cost
+	}
+	p, alpha, beta := cdd.ParamArrays(in)
+	return cdd.CostArrays(seq, p, alpha, beta, in.D)
+}
+
 // checkBatchAgainstSingle scores the given sequences through every face
-// of the batch API — Cost, CostSeqs, CostRows, CostRows32 and
-// FitnessRows32 — and requires each cost (and each FitnessRows32 op
-// count) to equal the per-sequence single-row path.
+// of the batch API — Cost, CostSeqs, CostRows and FitnessRows32 — and
+// requires each cost (and each FitnessRows32 op count) to equal the
+// per-sequence reference path.
 func checkBatchAgainstSingle(t *testing.T, in *problem.Instance, seqs [][]int) {
 	t.Helper()
-	single := NewEvaluator(in)
 	be := NewBatchEvaluator(in)
 	b := len(seqs)
 	n := in.N()
@@ -81,11 +91,11 @@ func checkBatchAgainstSingle(t *testing.T, in *problem.Instance, seqs [][]int) {
 		for k, v := range seq {
 			rows32[i*n+k] = int32(v)
 		}
-		want[i] = single.Cost(seq)
+		want[i] = referenceCost(in, seq)
 		var c int64
 		c, wantOps[i] = singleFitness(be, seq)
 		if c != want[i] {
-			t.Fatalf("singleFitness cost %d != Evaluator.Cost %d (internal reference mismatch)", c, want[i])
+			t.Fatalf("singleFitness cost %d != referenceCost %d (internal reference mismatch)", c, want[i])
 		}
 		if got := be.Cost(seq); got != want[i] {
 			t.Errorf("%s n=%d B=%d: Cost(seqs[%d]) = %d, want %d", in.Kind, n, b, i, got, want[i])
@@ -103,13 +113,6 @@ func checkBatchAgainstSingle(t *testing.T, in *problem.Instance, seqs [][]int) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("%s n=%d B=%d: CostRows[%d] = %d, want %d", in.Kind, n, b, i, got[i], want[i])
-		}
-	}
-	clear(got)
-	be.CostRows32(rows32, got)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("%s n=%d B=%d: CostRows32[%d] = %d, want %d", in.Kind, n, b, i, got[i], want[i])
 		}
 	}
 	clear(got)
@@ -160,24 +163,6 @@ func TestBatchEvaluatorPaperExamples(t *testing.T) {
 		if costs[0] != want || costs[1] != want {
 			t.Errorf("%s: CostSeqs = %v, want both %d", kind, costs, want)
 		}
-	}
-}
-
-// TestBatchEvaluatorFor checks the adapter: a BatchEvaluator passes
-// through identically, other evaluators get a snapshot of their
-// instance.
-func TestBatchEvaluatorFor(t *testing.T) {
-	in := problem.PaperExample(problem.CDD)
-	be := NewBatchEvaluator(in)
-	if BatchEvaluatorFor(be) != be {
-		t.Error("BatchEvaluatorFor should pass a BatchEvaluator through")
-	}
-	adapted := BatchEvaluatorFor(NewEvaluator(in))
-	if adapted.Instance() != in {
-		t.Error("adapted evaluator lost its instance")
-	}
-	if got := adapted.Cost(problem.IdentitySequence(5)); got != 81 {
-		t.Errorf("adapted Cost = %d, want 81", got)
 	}
 }
 
@@ -258,8 +243,8 @@ func batchInstanceFromBytes(kind problem.Kind, data []byte, dRaw uint64) *proble
 
 // FuzzBatchEvaluator feeds fuzzer-chosen instances of both kinds and
 // random sequence batches through every batch face and cross-checks
-// costs (and FitnessRows32 op counts) against the per-sequence
-// OptimizeArrays path. The batch core promises bit-identical results;
+// costs (and FitnessRows32 op counts) against the safe per-sequence
+// reference cores. The batch core promises bit-identical results;
 // any divergence is a bug in the batch row kernels.
 func FuzzBatchEvaluator(f *testing.F) {
 	f.Add([]byte{6, 7, 9, 2, 4, 5, 9, 5, 1, 8, 2, 6, 4, 3, 0}, uint64(16), uint64(1))

@@ -29,21 +29,13 @@ type Evaluator interface {
 	Instance() *problem.Instance
 }
 
-// NewEvaluator returns the appropriate exact evaluator for the
-// instance's problem kind and machine count: the single-machine linear
-// algorithms for the paper's problems, or the machine-aware genome
-// scorer (a BatchEvaluator over the delimiter encoding) for
-// parallel-machine and early-work instances.
-func NewEvaluator(in *problem.Instance) Evaluator {
-	if in.GenomeCoded() {
-		return NewBatchEvaluator(in)
-	}
-	switch in.Kind {
-	case problem.UCDDCP:
-		return ucddcp.NewEvaluator(in)
-	default:
-		return cdd.NewEvaluator(in)
-	}
+// NewEvaluator returns the exact evaluator for the instance: a
+// BatchEvaluator over a fresh SoA snapshot. Kind and machine count are
+// dispatched inside its row kernels — the single-machine linear
+// algorithms for the paper's problems, the machine-aware genome scorer
+// for parallel-machine and early-work instances.
+func NewEvaluator(in *problem.Instance) *BatchEvaluator {
+	return NewBatchEvaluator(in)
 }
 
 // DeltaEvaluator extends Evaluator with the incremental propose/commit
@@ -70,20 +62,38 @@ type DeltaEvaluator interface {
 	Commit()
 }
 
-// NewDeltaEvaluator returns the appropriate incremental evaluator for the
-// instance's problem kind and machine count: the single-machine delta
-// evaluators for the paper's problems, or the machine-granular
-// MachineDeltaEvaluator over the delimiter genome otherwise.
+// NewDeltaEvaluator returns the incremental evaluator for the instance:
+// the kind's single-machine delta core (cdd.Delta or ucddcp.Delta) over
+// the columns of one BatchEvaluator snapshot, or the machine-granular
+// MachineDeltaEvaluator over the delimiter genome on genome-coded
+// instances. Either way Cost and Instance are the BatchEvaluator's.
 func NewDeltaEvaluator(in *problem.Instance) DeltaEvaluator {
 	if in.GenomeCoded() {
 		return NewMachineDeltaEvaluator(in)
 	}
-	switch in.Kind {
-	case problem.UCDDCP:
-		return ucddcp.NewDeltaEvaluator(in)
-	default:
-		return cdd.NewDeltaEvaluator(in)
+	be := NewBatchEvaluator(in)
+	s := be.soa
+	if s.Kind == problem.UCDDCP {
+		return &seqDelta{be, ucddcp.NewDelta[int](s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D)}
 	}
+	return &seqDelta{be, cdd.NewDelta[int](s.P, s.Alpha, s.Beta, s.D)}
+}
+
+// seqDelta is the single-machine DeltaEvaluator: the embedded
+// BatchEvaluator answers the stateless Cost (its own scratch, so a
+// pending proposal survives it) and Instance; the kind's delta core
+// answers Reset, Propose and Commit.
+type seqDelta struct {
+	*BatchEvaluator
+	deltaCore
+}
+
+// deltaCore is the propose/commit protocol cdd.Delta and ucddcp.Delta
+// share.
+type deltaCore interface {
+	Reset(seq []int) int64
+	Propose(cand []int, positions []int) int64
+	Commit()
 }
 
 // Result is the outcome of one solver run.
@@ -160,22 +170,19 @@ type Solver interface {
 // InitialTemperature estimates T₀ as the standard deviation of the
 // fitness values of `samples` uniformly random job sequences, the rule of
 // Salamon, Sibani and Frost adopted by the paper (with samples = 5000).
-// It is deterministic given the rng. The scoring runs on the batch
-// evaluation core (each sample is the previous one reshuffled in place,
-// so samples chain and cannot be scored as one flat batch); costs are
-// bit-identical to eval.Cost, and the float accumulation order is
-// unchanged, so T₀ is too.
+// It is deterministic given the rng. Each sample is the previous one
+// reshuffled in place, scored with eval.Cost, which runs the batch row
+// kernels for every evaluator NewEvaluator and NewDeltaEvaluator build.
 func InitialTemperature(eval Evaluator, rng *xrand.XORWOW, samples int) float64 {
 	if samples < 2 {
 		samples = 2
 	}
-	be := BatchEvaluatorFor(eval)
 	n := eval.Instance().GenomeLen()
 	seq := problem.IdentitySequence(n)
 	var sum, sumSq float64
 	for i := 0; i < samples; i++ {
 		perm.FisherYates(rng, seq)
-		f := float64(be.Cost(seq))
+		f := float64(eval.Cost(seq))
 		sum += f
 		sumSq += f * f
 	}

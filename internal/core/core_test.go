@@ -9,14 +9,30 @@ import (
 	"repro/internal/xrand"
 )
 
+// TestNewEvaluatorDispatch pins both constructors on the paper's worked
+// examples: the evaluator and the delta evaluator's Reset report the
+// paper's optima, and the delta evaluator's stateless Cost leaves a
+// pending proposal intact for Commit.
 func TestNewEvaluatorDispatch(t *testing.T) {
-	cddEval := NewEvaluator(problem.PaperExample(problem.CDD))
-	if got := cddEval.Cost(problem.IdentitySequence(5)); got != 81 {
-		t.Errorf("CDD evaluator cost = %d, want 81", got)
-	}
-	uEval := NewEvaluator(problem.PaperExample(problem.UCDDCP))
-	if got := uEval.Cost(problem.IdentitySequence(5)); got != 77 {
-		t.Errorf("UCDDCP evaluator cost = %d, want 77", got)
+	for kind, want := range map[problem.Kind]int64{problem.CDD: 81, problem.UCDDCP: 77} {
+		in := problem.PaperExample(kind)
+		seq := problem.IdentitySequence(5)
+		if got := NewEvaluator(in).Cost(seq); got != want {
+			t.Errorf("%s evaluator cost = %d, want %d", kind, got, want)
+		}
+		de := NewDeltaEvaluator(in)
+		if got := de.Reset(seq); got != want {
+			t.Errorf("%s delta Reset = %d, want %d", kind, got, want)
+		}
+		cand := []int{1, 0, 2, 3, 4}
+		proposed := de.Propose(cand, []int{0, 1})
+		if got := de.Cost(seq); got != want {
+			t.Errorf("%s delta Cost = %d, want %d", kind, got, want)
+		}
+		de.Commit()
+		if got := de.Propose(cand, nil); got != proposed {
+			t.Errorf("%s: committed cost %d after a stateless Cost, want %d", kind, got, proposed)
+		}
 	}
 }
 

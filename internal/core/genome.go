@@ -11,12 +11,12 @@ import (
 // instances. A solution is a delimiter genome (see problem.GenomeLen) — a
 // permutation of n job ids plus m−1 separator values ≥ n — and its cost
 // is the sum of the per-machine objectives, each machine's run of job
-// values scored by the same exact O(n) single-machine cores the
-// single-machine path uses (cdd.CostArrays / ucddcp.OptimizeArrays /
+// values scored by the same exact O(n) single-machine row kernels the
+// single-machine path uses (cdd.CostRowArrays / ucddcp.OptimizeArrays /
 // earlywork.CostArrays on the segment sub-slice against the job-indexed
-// parameter columns). Single-machine instances never reach these
-// functions: their genome is the plain sequence and the dispatchers keep
-// them on the pre-generalization kernels, bit-identical by construction.
+// SoA columns). Single-machine instances of the paper's problems skip
+// the separator scan and call those kernels on the whole sequence,
+// bit-identical by construction.
 
 // GenomeCostArrays returns the total cost of a delimiter genome over the
 // snapshot: the sum of per-machine segment costs. comp and aux are
@@ -53,7 +53,7 @@ func GenomeFitnessArrays[S cdd.Index](seq []S, s *SoAInstance, comp, aux []int64
 }
 
 // segmentCost scores one machine's job run with the kind's exact
-// single-machine core.
+// single-machine row kernel.
 func segmentCost[S cdd.Index](seg []S, s *SoAInstance, comp, aux []int64) int64 {
 	if len(seg) == 0 {
 		return 0
@@ -65,11 +65,12 @@ func segmentCost[S cdd.Index](seg []S, s *SoAInstance, comp, aux []int64) int64 
 	case problem.EARLYWORK:
 		return earlywork.CostArrays(seg, s.P, s.D)
 	default:
-		return cdd.CostArrays(seg, s.P, s.Alpha, s.Beta, s.D)
+		return cdd.CostRowArrays(seg, s.P, s.Alpha, s.Beta, s.D)
 	}
 }
 
-// segmentFitness is segmentCost with the kernel's abstract op count.
+// segmentFitness is segmentCost with the kernel's abstract op count; it
+// also scores whole single-machine device rows.
 func segmentFitness[S cdd.Index](seg []S, s *SoAInstance, comp, aux []int64) (int64, int) {
 	if len(seg) == 0 {
 		return 0, 0

@@ -19,10 +19,9 @@ import "repro/internal/problem"
 // index of every position outside the window and bounds the affected
 // machines by the base's separator ranks at the window edges.
 type MachineDeltaEvaluator struct {
-	in  *problem.Instance
-	soa *SoAInstance
-	// comp/aux are the single-machine kernels' scratch (length N).
-	comp, aux []int64
+	// The embedded BatchEvaluator supplies the snapshot, the
+	// single-machine kernels' scratch, Instance and the stateless Cost.
+	*BatchEvaluator
 
 	base    []int   // committed genome
 	segCost []int64 // committed per-machine segment costs
@@ -36,12 +35,12 @@ type MachineDeltaEvaluator struct {
 	// Pending proposal: the touched window, the affected machine range,
 	// the rescored segment costs and separator positions, and a copy of
 	// the candidate window for Commit.
-	pLo, pHi         int
-	pSegLo, pSegHi   int
-	pSeg             []int64
-	pSepRank         []int
-	pWin             []int
-	pDelta           int64
+	pLo, pHi       int
+	pSegLo, pSegHi int
+	pSeg           []int64
+	pSepRank       []int
+	pWin           []int
+	pDelta         int64
 	pending, pNoop bool
 }
 
@@ -49,32 +48,18 @@ type MachineDeltaEvaluator struct {
 // instance (it also accepts single-machine EARLYWORK, where the single
 // segment is the whole genome).
 func NewMachineDeltaEvaluator(in *problem.Instance) *MachineDeltaEvaluator {
-	soa := NewSoAInstance(in)
-	e := &MachineDeltaEvaluator{
-		in:         in,
-		soa:        soa,
-		comp:       make([]int64, soa.N),
-		base:       make([]int, soa.L),
-		segCost:    make([]int64, soa.Machines),
-		sepsBefore: make([]int, soa.L+1),
-		sepRank:    make([]int, soa.Machines-1),
-		pSeg:       make([]int64, soa.Machines),
-		pSepRank:   make([]int, soa.Machines-1),
-		pWin:       make([]int, soa.L),
+	be := NewBatchEvaluator(in)
+	soa := be.soa
+	return &MachineDeltaEvaluator{
+		BatchEvaluator: be,
+		base:           make([]int, soa.L),
+		segCost:        make([]int64, soa.Machines),
+		sepsBefore:     make([]int, soa.L+1),
+		sepRank:        make([]int, soa.Machines-1),
+		pSeg:           make([]int64, soa.Machines),
+		pSepRank:       make([]int, soa.Machines-1),
+		pWin:           make([]int, soa.L),
 	}
-	if soa.Kind == problem.UCDDCP {
-		e.aux = make([]int64, soa.N)
-	}
-	return e
-}
-
-// Instance implements Evaluator.
-func (e *MachineDeltaEvaluator) Instance() *problem.Instance { return e.in }
-
-// Cost implements Evaluator: a stateless full genome evaluation that
-// never disturbs the committed cache.
-func (e *MachineDeltaEvaluator) Cost(seq []int) int64 {
-	return GenomeCostArrays(seq, e.soa, e.comp, e.aux)
 }
 
 // Reset caches seq as the committed base genome and returns its cost.

@@ -173,18 +173,14 @@ func (p *Particle) Adopt(cost int64) int64 {
 }
 
 // Swarm is the serial DPSO solver: Config.Swarm particles sharing one
-// batch evaluator, with a synchronous global best. Each generation moves
-// every particle first and scores the whole population in one batched
-// pass — trajectory-identical to per-particle Update calls (particles
-// own their RNG streams and read only the previous generation's gbest),
-// only faster.
+// evaluator, with a synchronous global best. Each generation moves and
+// scores every particle against the previous generation's gbest and
+// only then refreshes gbest — the update → fitness → reduction
+// decomposition the paper's GPU implementation uses.
 type Swarm struct {
 	cfg       Config
 	eval      core.Evaluator
-	batch     *core.BatchEvaluator
 	particles []*Particle
-	seqs      [][]int
-	costs     []int64
 	gbest     []int
 	gbestCost int64
 	evals     int64
@@ -194,13 +190,7 @@ type Swarm struct {
 // RNG sub-streams of the given seed.
 func NewSwarm(cfg Config, eval core.Evaluator, seed uint64) *Swarm {
 	cfg = cfg.Normalized()
-	s := &Swarm{
-		cfg:   cfg,
-		eval:  eval,
-		batch: core.BatchEvaluatorFor(eval),
-		seqs:  make([][]int, cfg.Swarm),
-		costs: make([]int64, cfg.Swarm),
-	}
+	s := &Swarm{cfg: cfg, eval: eval}
 	n := eval.Instance().GenomeLen()
 	s.gbest = make([]int, n)
 	s.gbestCost = int64(1) << 62
@@ -217,17 +207,12 @@ func NewSwarm(cfg Config, eval core.Evaluator, seed uint64) *Swarm {
 }
 
 // Step runs one generation: find particles' and swarm's bests, update
-// positions, evaluate (Algorithm 2 lines 4–7). Moves happen first, then
-// one batched fitness pass over the population, then the personal-best
-// refreshes — the same decomposition the paper's GPU implementation uses
-// (update kernel, fitness kernel, reduction).
+// positions, evaluate (Algorithm 2 lines 4–7). A particle's update reads
+// only its own state and the previous generation's gbest, so updating
+// particle by particle equals moving all, then scoring all.
 func (s *Swarm) Step() {
-	for i, p := range s.particles {
-		s.seqs[i] = p.Move(s.gbest)
-	}
-	s.batch.CostSeqs(s.seqs, s.costs)
-	for i, p := range s.particles {
-		p.Adopt(s.costs[i])
+	for _, p := range s.particles {
+		p.Update(s.gbest, s.eval)
 		s.evals++
 	}
 	for _, p := range s.particles {

@@ -14,18 +14,7 @@
 // (see problem.GenomeLen).
 package earlywork
 
-import (
-	"repro/internal/cdd"
-	"repro/internal/problem"
-)
-
-// Result is the outcome of the exact single-machine evaluation.
-type Result struct {
-	// Cost is the machine's late work max(0, ΣP−d).
-	Cost int64
-	// Start is the machine's optimal start time, always 0.
-	Start int64
-}
+import "repro/internal/cdd"
 
 // CostArrays returns the late work of a single machine processing seq
 // back to back from time zero: max(0, Σ p[seq] − d). It is generic over
@@ -48,39 +37,3 @@ func CostArrays[S cdd.Index](seq []S, p []int64, d int64) int64 {
 func FitnessArrays[S cdd.Index](seq []S, p []int64, d int64) (cost int64, ops int) {
 	return CostArrays(seq, p, d), 2*len(seq) + 1
 }
-
-// OptimizeSequence evaluates the sequence on a single machine of the
-// instance: late work max(0, ΣP−d) at the optimal start time 0.
-func OptimizeSequence(in *problem.Instance, seq []int) Result {
-	p := ParamArrays(in)
-	return Result{Cost: CostArrays(seq, p, in.D)}
-}
-
-// ParamArrays extracts the processing-time column (indexed by job id).
-func ParamArrays(in *problem.Instance) []int64 {
-	p := make([]int64, in.N())
-	for i, j := range in.Jobs {
-		p[i] = int64(j.P)
-	}
-	return p
-}
-
-// Evaluator is the single-machine early-work evaluator behind the shared
-// core.Evaluator interface.
-type Evaluator struct {
-	in *problem.Instance
-	p  []int64
-}
-
-// NewEvaluator builds an evaluator with the processing-time column
-// hoisted.
-func NewEvaluator(in *problem.Instance) *Evaluator {
-	return &Evaluator{in: in, p: ParamArrays(in)}
-}
-
-// Instance implements core.Evaluator.
-func (e *Evaluator) Instance() *problem.Instance { return e.in }
-
-// Cost implements core.Evaluator: the machine's late work, independent of
-// the order within seq.
-func (e *Evaluator) Cost(seq []int) int64 { return CostArrays(seq, e.p, e.in.D) }

@@ -16,11 +16,20 @@ func instance(t *testing.T, p []int, machines int, d int64) *problem.Instance {
 	return in
 }
 
+// processingTimes is the job-indexed p column CostArrays consumes.
+func processingTimes(in *problem.Instance) []int64 {
+	p := make([]int64, in.N())
+	for i, j := range in.Jobs {
+		p[i] = int64(j.P)
+	}
+	return p
+}
+
 // TestCostClosedForm pins the single-machine late work max(0, ΣP−d)
 // against hand-computed values on both sides of the due date.
 func TestCostClosedForm(t *testing.T) {
 	in := instance(t, []int{6, 5, 2, 4, 4}, 1, 16) // ΣP = 21
-	p := ParamArrays(in)
+	p := processingTimes(in)
 	cases := []struct {
 		seq  []int
 		want int64
@@ -37,9 +46,6 @@ func TestCostClosedForm(t *testing.T) {
 			t.Errorf("CostArrays(%v) = %d, want %d", tc.seq, got, tc.want)
 		}
 	}
-	if got := OptimizeSequence(in, []int{0, 1, 2, 3, 4}); got.Cost != 5 || got.Start != 0 {
-		t.Errorf("OptimizeSequence = %+v, want cost 5 at start 0", got)
-	}
 }
 
 // TestOrderIndependence pins the property the whole genome design leans
@@ -48,15 +54,15 @@ func TestCostClosedForm(t *testing.T) {
 func TestOrderIndependence(t *testing.T) {
 	r := xrand.New(7)
 	in := instance(t, []int{6, 5, 2, 4, 4, 3, 7, 1}, 1, 9)
-	eval := NewEvaluator(in)
+	p := processingTimes(in)
 	seq := problem.IdentitySequence(in.N())
-	want := eval.Cost(seq)
+	want := CostArrays(seq, p, in.D)
 	for trial := 0; trial < 50; trial++ {
 		for i := len(seq) - 1; i > 0; i-- {
 			j := r.Intn(i + 1)
 			seq[i], seq[j] = seq[j], seq[i]
 		}
-		if got := eval.Cost(seq); got != want {
+		if got := CostArrays(seq, p, in.D); got != want {
 			t.Fatalf("cost %d for order %v, %d for identity — late work must be order-independent", got, seq, want)
 		}
 	}
@@ -99,7 +105,7 @@ func TestEarlyLateComplement(t *testing.T) {
 // proportional to the segment length.
 func TestFitnessMatchesCost(t *testing.T) {
 	in := instance(t, []int{6, 5, 2, 4}, 1, 7)
-	p := ParamArrays(in)
+	p := processingTimes(in)
 	seq := []int{2, 0, 3}
 	cost, ops := FitnessArrays(seq, p, in.D)
 	if cost != CostArrays(seq, p, in.D) {
@@ -107,17 +113,5 @@ func TestFitnessMatchesCost(t *testing.T) {
 	}
 	if ops != 2*len(seq)+1 {
 		t.Errorf("ops = %d, want %d", ops, 2*len(seq)+1)
-	}
-}
-
-// TestEvaluatorInterface pins the core.Evaluator plumbing.
-func TestEvaluatorInterface(t *testing.T) {
-	in := instance(t, []int{6, 5, 2}, 1, 20)
-	e := NewEvaluator(in)
-	if e.Instance() != in {
-		t.Error("Instance() does not return the wrapped instance")
-	}
-	if got := e.Cost([]int{0, 1, 2}); got != 0 {
-		t.Errorf("unrestrictive d: cost %d, want 0 (all work early)", got)
 	}
 }

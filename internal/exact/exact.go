@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cdd"
 	"repro/internal/core"
 	"repro/internal/problem"
 )
@@ -245,8 +244,7 @@ func SubsetCDD(in *problem.Instance) (Result, error) {
 			seq = append(seq, job)
 		}
 	}
-	eval := cdd.NewEvaluator(in)
-	return Result{Cost: eval.Cost(seq), Seq: seq, Nodes: nodes}, nil
+	return Result{Cost: core.NewEvaluator(in).Cost(seq), Seq: seq, Nodes: nodes}, nil
 }
 
 // Solve dispatches to the best applicable exact method: the

@@ -127,9 +127,9 @@ func BenchmarkLPvsLinear(b *testing.B) {
 		}
 	})
 	b.Run("linear_On", func(b *testing.B) {
-		eval := cdd.NewEvaluator(in)
+		p, alpha, beta := cdd.ParamArrays(in)
 		for i := 0; i < b.N; i++ {
-			eval.Cost(seq)
+			cdd.CostArrays(seq, p, alpha, beta, in.D)
 		}
 	})
 }

@@ -114,8 +114,8 @@ type ChainCounters struct {
 }
 
 // CounterSource is implemented by chains that track ChainCounters
-// (sa.Chain does); the ensemble runtime type-asserts against it so
-// counter-less chains (TA, ES) cost nothing.
+// (sa.Chain does); the ensemble runtime type-asserts against it and
+// counts every evaluation of a counter-less chain (TA, ES) as full.
 type CounterSource interface {
 	Counters() ChainCounters
 }

@@ -11,12 +11,13 @@ import (
 )
 
 // Randomized differential test of the device-side fitness path against
-// the host evaluators on adversarial instance shapes (zero penalties,
+// the safe host reference cores on adversarial instance shapes (zero penalties,
 // equal processing times, due dates straddling the restrictive boundary).
 // The golden parity tests pin specific values; this sweep hunts for
 // divergence anywhere in the input space the generators can reach —
-// device int32-sequence evaluation, host int-sequence evaluation, and the
-// incremental delta evaluator must agree bit for bit on every sample.
+// device int32-sequence evaluation, the host reference (cdd.CostArrays,
+// ucddcp.OptimizeSequence), and the incremental delta evaluator must
+// agree bit for bit on every sample.
 
 // randomAdversarialCDD draws an instance from one of the shapes that have
 // historically distinct code paths in the breakpoint walk.
@@ -87,7 +88,7 @@ func TestDeviceHostFitnessDifferentialCDD(t *testing.T) {
 		in := randomAdversarialCDD(rng)
 		n := in.N()
 		pl := fitnessPipeline(in)
-		host := cdd.NewEvaluator(in)
+		p, alpha, beta := cdd.ParamArrays(in)
 		delta := core.NewDeltaEvaluator(in)
 		seq := problem.IdentitySequence(n)
 		seq32 := make([]int32, n)
@@ -98,7 +99,7 @@ func TestDeviceHostFitnessDifferentialCDD(t *testing.T) {
 			}
 			costs, _ := pl.batchFitness(seq32)
 			dev := costs[0]
-			if hc := host.Cost(seq); dev != hc {
+			if hc := cdd.CostArrays(seq, p, alpha, beta, in.D); dev != hc {
 				t.Fatalf("trial %d: device %d != host %d (d=%d jobs=%+v seq=%v)",
 					trial, dev, hc, in.D, in.Jobs, seq)
 			}
@@ -116,7 +117,6 @@ func TestDeviceHostFitnessDifferentialUCDDCP(t *testing.T) {
 		in := randomAdversarialUCDDCP(rng)
 		n := in.N()
 		pl := fitnessPipeline(in)
-		host := ucddcp.NewEvaluator(in)
 		delta := core.NewDeltaEvaluator(in)
 		seq := problem.IdentitySequence(n)
 		seq32 := make([]int32, n)
@@ -127,7 +127,7 @@ func TestDeviceHostFitnessDifferentialUCDDCP(t *testing.T) {
 			}
 			costs, _ := pl.batchFitness(seq32)
 			dev := costs[0]
-			if hc := host.Cost(seq); dev != hc {
+			if hc := ucddcp.OptimizeSequence(in, seq).Cost; dev != hc {
 				t.Fatalf("trial %d: device %d != host %d (d=%d jobs=%+v seq=%v)",
 					trial, dev, hc, in.D, in.Jobs, seq)
 			}

@@ -107,6 +107,10 @@ func (e Ensemble) Run(ctx context.Context, inst *problem.Instance, spec RunSpec)
 			col.AddBusy(done.Sub(t0))
 			if src, ok := chain.(obs.CounterSource); ok {
 				col.AddChain(src.Counters())
+			} else {
+				// Chains without the full/delta split (TA, ES) only
+				// run full passes.
+				col.AddFullEvals(chain.Evaluations())
 			}
 		}
 		seq, cost := chain.Best()

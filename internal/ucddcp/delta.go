@@ -1,9 +1,6 @@
 package ucddcp
 
-import (
-	"repro/internal/cdd"
-	"repro/internal/problem"
-)
+import "repro/internal/cdd"
 
 // Delta is the incremental UCDDCP evaluator. Phase 1 (the CDD timing of
 // the uncompressed sequence) is fully incremental through cdd.Delta —
@@ -83,36 +80,3 @@ func (dl *Delta[S]) Commit() {
 
 // Committed returns the committed base sequence's optimized cost.
 func (dl *Delta[S]) Committed() int64 { return dl.cost }
-
-// DeltaEvaluator is the host-side incremental evaluator for the UCDDCP
-// problem, satisfying both the plain fitness interface and the
-// propose/commit protocol. Not safe for concurrent use.
-type DeltaEvaluator struct {
-	in *problem.Instance
-	dl *Delta[int]
-}
-
-// NewDeltaEvaluator returns an incremental evaluator for the instance.
-func NewDeltaEvaluator(in *problem.Instance) *DeltaEvaluator {
-	p, m, alpha, beta, gamma := ParamArrays(in)
-	return &DeltaEvaluator{in: in, dl: NewDelta[int](p, m, alpha, beta, gamma, in.D)}
-}
-
-// Instance returns the instance the evaluator was built for.
-func (e *DeltaEvaluator) Instance() *problem.Instance { return e.in }
-
-// Cost evaluates seq from scratch with the fused full pass. It is
-// independent of the propose/commit cache (a pending proposal survives it).
-func (e *DeltaEvaluator) Cost(seq []int) int64 { return e.dl.evalFull(seq) }
-
-// Reset caches seq as the committed base sequence and returns its cost.
-func (e *DeltaEvaluator) Reset(seq []int) int64 { return e.dl.Reset(seq) }
-
-// Propose evaluates a candidate differing from the base at (a subset of)
-// positions without mutating the cache.
-func (e *DeltaEvaluator) Propose(cand []int, positions []int) int64 {
-	return e.dl.Propose(cand, positions)
-}
-
-// Commit adopts the pending candidate as the new base sequence.
-func (e *DeltaEvaluator) Commit() { e.dl.Commit() }

@@ -76,19 +76,25 @@ func applyMove(rng *rand.Rand, cand []int, scratch []int) []int {
 	}
 }
 
+// deltaArgs is NewDelta's argument list for the instance: its parameter
+// columns and due date.
+func deltaArgs(in *problem.Instance) (p, m, alpha, beta, gamma []int64, d int64) {
+	p, m, alpha, beta, gamma = ParamArrays(in)
+	return p, m, alpha, beta, gamma, in.D
+}
+
 // TestDeltaMatchesFullRandomMoves drives the propose/commit protocol with
 // randomized move sequences and asserts every proposed cost is
-// bit-identical to a scratch evaluation of the candidate.
+// bit-identical to the reference OptimizeSequence on the candidate.
 func TestDeltaMatchesFullRandomMoves(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(48)
 		in := randomInstance(rng, n, 6)
-		full := NewEvaluator(in)
-		de := NewDeltaEvaluator(in)
+		de := NewDelta[int](deltaArgs(in))
 
 		base := randomSequence(rng, n)
-		if got, want := de.Reset(base), full.Cost(base); got != want {
+		if got, want := de.Reset(base), OptimizeSequence(in, base).Cost; got != want {
 			t.Fatalf("trial %d: Reset cost %d, full %d", trial, got, want)
 		}
 		cand := make([]int, n)
@@ -97,7 +103,7 @@ func TestDeltaMatchesFullRandomMoves(t *testing.T) {
 			copy(cand, base)
 			touched := applyMove(rng, cand, scratch)
 			got := de.Propose(cand, touched)
-			want := full.Cost(cand)
+			want := OptimizeSequence(in, cand).Cost
 			if got != want {
 				t.Fatalf("trial %d step %d (n=%d, d=%d): Propose %d, full %d\nbase=%v\ncand=%v\ntouched=%v",
 					trial, step, n, in.D, got, want, base, cand, touched)
@@ -106,10 +112,6 @@ func TestDeltaMatchesFullRandomMoves(t *testing.T) {
 				de.Commit()
 				copy(base, cand)
 			}
-		}
-		probe := randomSequence(rng, n)
-		if got, want := de.Cost(probe), full.Cost(probe); got != want {
-			t.Fatalf("trial %d: stateless Cost %d, full %d", trial, got, want)
 		}
 	}
 }
@@ -142,8 +144,7 @@ func TestDeltaDegenerateDueDates(t *testing.T) {
 			for i := 0; i < n; i++ {
 				in.Jobs[i] = problem.Job{P: p[i], M: m[i], Alpha: alpha[i], Beta: beta[i], Gamma: gamma[i]}
 			}
-			full := NewEvaluator(in)
-			de := NewDeltaEvaluator(in)
+			de := NewDelta[int](deltaArgs(in))
 			base := randomSequence(rng, n)
 			de.Reset(base)
 			cand := make([]int, n)
@@ -151,7 +152,7 @@ func TestDeltaDegenerateDueDates(t *testing.T) {
 			for step := 0; step < 30; step++ {
 				copy(cand, base)
 				touched := applyMove(rng, cand, scratch)
-				if got, want := de.Propose(cand, touched), full.Cost(cand); got != want {
+				if got, want := de.Propose(cand, touched), OptimizeSequence(in, cand).Cost; got != want {
 					t.Fatalf("d=%d n=%d step %d: Propose %d, full %d\ncand=%v", d, n, step, got, want, cand)
 				}
 				if rng.Intn(3) != 0 {

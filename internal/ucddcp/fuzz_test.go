@@ -45,7 +45,7 @@ func ucddcpFromBytes(data []byte, dRaw uint64) *problem.Instance {
 // evaluator (whose Propose must re-run the two-phase compression on the
 // corrected completion times) through a random walk of swap and
 // segment-reversal moves, cross-checking every proposal against the
-// stateless full pass.
+// Result-returning reference OptimizeSequence.
 func FuzzUCDDCPDeltaVsFull(f *testing.F) {
 	f.Add([]byte{6, 5, 7, 9, 5, 5, 5, 9, 5, 4, 2, 2, 6, 4, 3, 4, 3, 9, 3, 2, 4, 3, 3, 2, 1}, uint64(1), uint64(1))
 	f.Add([]byte{20, 0, 0, 0, 10, 1, 0, 10, 15, 0}, uint64(5), uint64(9))
@@ -56,10 +56,10 @@ func FuzzUCDDCPDeltaVsFull(f *testing.F) {
 		}
 		n := in.N()
 		rng := xrand.New(seed | 1)
-		dl := ucddcp.NewDeltaEvaluator(in)
-		full := ucddcp.NewEvaluator(in)
+		p, m, alpha, beta, gamma := ucddcp.ParamArrays(in)
+		dl := ucddcp.NewDelta[int](p, m, alpha, beta, gamma, in.D)
 		base := problem.IdentitySequence(n)
-		if got, want := dl.Reset(base), full.Cost(base); got != want {
+		if got, want := dl.Reset(base), ucddcp.OptimizeSequence(in, base).Cost; got != want {
 			t.Fatalf("Reset=%d, full=%d on identity", got, want)
 		}
 		cand := make([]int, n)
@@ -80,7 +80,7 @@ func FuzzUCDDCPDeltaVsFull(f *testing.F) {
 					pos = append(pos, k)
 				}
 			}
-			if got, want := dl.Propose(cand, pos), full.Cost(cand); got != want {
+			if got, want := dl.Propose(cand, pos), ucddcp.OptimizeSequence(in, cand).Cost; got != want {
 				t.Fatalf("step %d: Propose=%d, full=%d (d=%d base=%v cand=%v pos=%v)",
 					step, got, want, in.D, base, cand, pos)
 			}

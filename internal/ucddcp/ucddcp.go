@@ -34,10 +34,7 @@
 // exact objective value of the schedule actually constructed.
 package ucddcp
 
-import (
-	"repro/internal/cdd"
-	"repro/internal/problem"
-)
+import "repro/internal/problem"
 
 // Result describes the optimized timing and compression of a fixed
 // sequence.
@@ -51,51 +48,27 @@ type Result struct {
 	// after the CDD phase (Property 1: unchanged by compression), or 0 in
 	// the degenerate no-due-job case.
 	DueJob int
-	// X is the compression per job, indexed by job id. Results returned by
-	// Evaluator.Optimize alias the evaluator's scratch buffer and are
-	// valid until the next call; OptimizeSequence returns a private copy.
+	// X is the compression per job, indexed by job id.
 	X []int64
 }
 
 // OptimizeSequence optimizes the timing and compressions of the fixed
-// sequence seq. The returned Result owns its X slice.
+// sequence seq and returns a Result that owns its X slice. It is the
+// package's Result-returning entry point (schedule materialization and
+// the test oracles); the metaheuristics score through core's
+// evaluators, which run OptimizeArrays over a shared column snapshot
+// with a nil compression vector.
+//
+// It delegates to the fused array core shared with the simulated GPU
+// fitness kernel (see OptimizeArrays): the CDD phase runs inline and the
+// compression sweeps fold the final penalty accumulation into their
+// apply loops, so no standalone cost pass remains.
 func OptimizeSequence(in *problem.Instance, seq []int) Result {
-	e := NewEvaluator(in)
-	res := e.Optimize(seq)
-	x := make([]int64, len(res.X))
-	copy(x, res.X)
-	res.X = x
-	return res
-}
-
-// OptimizeSequenceNoCompression returns the optimal cost of the sequence
-// with all compressions forced to zero — the plain CDD timing of the same
-// sequence. It is the natural upper bound for Optimize's cost.
-func OptimizeSequenceNoCompression(in *problem.Instance, seq []int) int64 {
-	return cdd.OptimizeSequence(in, seq).Cost
-}
-
-// Evaluator evaluates sequences of one UCDDCP instance repeatedly without
-// allocation. Not safe for concurrent use; create one per goroutine (or
-// per simulated GPU thread).
-type Evaluator struct {
-	in *problem.Instance
-	// Job parameters widened to int64 once, indexed by job id.
-	p, m, alpha, beta, gamma []int64
-	comp                     []int64 // completion times by position
-	x                        []int64 // compression by job id
-	scratch                  []int64 // early-side per-position compressions
-}
-
-// NewEvaluator returns an evaluator for the given instance.
-func NewEvaluator(in *problem.Instance) *Evaluator {
 	p, m, alpha, beta, gamma := ParamArrays(in)
-	return &Evaluator{
-		in: in, p: p, m: m, alpha: alpha, beta: beta, gamma: gamma,
-		comp:    make([]int64, in.N()),
-		x:       make([]int64, in.N()),
-		scratch: make([]int64, in.N()),
-	}
+	n := len(seq)
+	x := make([]int64, n)
+	cost, start, r, _ := OptimizeArrays(seq, p, m, alpha, beta, gamma, in.D, make([]int64, n), make([]int64, n), x)
+	return Result{Cost: cost, Start: start, DueJob: r, X: x}
 }
 
 // ParamArrays widens the instance's job parameters into the job-indexed
@@ -113,27 +86,4 @@ func ParamArrays(in *problem.Instance) (p, m, alpha, beta, gamma []int64) {
 		alpha[i], beta[i], gamma[i] = int64(j.Alpha), int64(j.Beta), int64(j.Gamma)
 	}
 	return p, m, alpha, beta, gamma
-}
-
-// Instance returns the instance the evaluator was built for.
-func (e *Evaluator) Instance() *problem.Instance { return e.in }
-
-// Cost returns only the optimized penalty of the sequence; it is the
-// fitness function used by the metaheuristics.
-func (e *Evaluator) Cost(seq []int) int64 { return e.Optimize(seq).Cost }
-
-// Optimize runs the two-phase linear algorithm on the sequence, delegating
-// to the fused array core shared with the simulated GPU fitness kernel
-// (see OptimizeArrays): the CDD phase runs inline and the compression
-// sweeps fold the final penalty accumulation into their apply loops, so no
-// standalone cost pass remains. The Result's X slice aliases evaluator
-// scratch and is valid until the next call.
-func (e *Evaluator) Optimize(seq []int) Result {
-	n := len(seq)
-	x := e.x[:n]
-	for i := range x {
-		x[i] = 0
-	}
-	cost, start, r, _ := OptimizeArrays(seq, e.p, e.m, e.alpha, e.beta, e.gamma, e.in.D, e.comp[:n], e.scratch[:n], x)
-	return Result{Cost: cost, Start: start, DueJob: r, X: x}
 }

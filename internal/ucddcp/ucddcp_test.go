@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cdd"
 	"repro/internal/problem"
 )
 
@@ -216,8 +217,8 @@ func TestCompressionNeverHurts(t *testing.T) {
 		res := OptimizeSequence(in, seq)
 		plain := problem.SequenceCost(in, seq, res.Start, nil)
 		// Compare against the best uncompressed timing instead of the same
-		// start: recompute via a zero-compression evaluation.
-		uncompressed := OptimizeSequenceNoCompression(in, seq)
+		// start: the plain CDD optimum of the sequence.
+		uncompressed := cdd.OptimizeSequence(in, seq).Cost
 		if res.Cost > uncompressed {
 			t.Fatalf("trial %d: compression phase worsened cost: %d > %d (plain at same start %d)",
 				trial, res.Cost, uncompressed, plain)
@@ -234,7 +235,7 @@ func TestNoCompressionCapacity(t *testing.T) {
 		in := randomInstance(rng, n, 0)
 		seq := randomSequence(rng, n)
 		res := OptimizeSequence(in, seq)
-		if want := OptimizeSequenceNoCompression(in, seq); res.Cost != want {
+		if want := cdd.OptimizeSequence(in, seq).Cost; res.Cost != want {
 			t.Fatalf("trial %d: with zero capacity cost %d, CDD optimum %d", trial, res.Cost, want)
 		}
 		for i, x := range res.X {
@@ -242,20 +243,6 @@ func TestNoCompressionCapacity(t *testing.T) {
 				t.Fatalf("trial %d: job %d compressed by %d with zero capacity", trial, i, x)
 			}
 		}
-	}
-}
-
-// TestEvaluatorReuse verifies scratch state does not leak between calls.
-func TestEvaluatorReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	in := randomInstance(rng, 15, 3)
-	e := NewEvaluator(in)
-	seqA := randomSequence(rng, 15)
-	seqB := randomSequence(rng, 15)
-	a1, b1 := e.Cost(seqA), e.Cost(seqB)
-	a2, b2 := e.Cost(seqA), e.Cost(seqB)
-	if a1 != a2 || b1 != b2 {
-		t.Errorf("evaluator not reusable: a %d/%d, b %d/%d", a1, a2, b1, b2)
 	}
 }
 
@@ -271,12 +258,13 @@ func BenchmarkOptimizeSequence(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
 		in := randomInstance(rng, n, 5)
 		seq := randomSequence(rng, n)
-		e := NewEvaluator(in)
+		p, m, alpha, beta, gamma := ParamArrays(in)
+		comp, scratch := make([]int64, n), make([]int64, n)
 		name := map[int]string{10: "n10", 100: "n100", 1000: "n1000"}[n]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e.Cost(seq)
+				OptimizeArrays(seq, p, m, alpha, beta, gamma, in.D, comp, scratch, nil)
 			}
 		})
 	}

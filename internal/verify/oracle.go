@@ -17,9 +17,10 @@ import (
 // This file implements the two oracle layers of the subsystem:
 //
 //   - sequence-cost agreement: for a fixed sequence, every evaluator in
-//     the repository — the fused full passes, the cost-only pass, the
-//     host Evaluators, the incremental delta evaluators (both via Reset
-//     and via Propose), the materialized-schedule re-evaluation, and the
+//     the repository — the safe reference cores (the fused full passes
+//     and the cost-only pass), the production BatchEvaluator on each of
+//     its faces, the incremental delta evaluators (both via Reset and
+//     via Propose), the materialized-schedule re-evaluation, and the
 //     per-sequence LP reference — must report the same exact cost;
 //
 //   - the exact chain: brute-force enumeration, the V-shape subset scan
@@ -64,12 +65,7 @@ func genomeEvaluators() []NamedCost {
 			aux := make([]int64, s.N)
 			return core.GenomeCostArrays(seq, s, comp, aux), nil
 		}},
-		{Name: "core.Evaluator", Cost: func(in *problem.Instance, seq []int) (int64, error) {
-			return core.NewEvaluator(in).Cost(seq), nil
-		}},
-		{Name: "machineDelta.Reset", Cost: func(in *problem.Instance, seq []int) (int64, error) {
-			return core.NewDeltaEvaluator(in).Reset(seq), nil
-		}},
+		{Name: "machineDelta.Reset", Cost: deltaResetCost},
 		{Name: "machineDelta.Propose", Cost: deltaProposeCost},
 		{Name: "core.BatchEvaluator.Cost", Cost: batchCost},
 		{Name: "batch.CostRows", Cost: batchRowsCost},
@@ -94,21 +90,15 @@ func genomeScheduleCost(in *problem.Instance, seq []int) (int64, error) {
 func cddEvaluators() []NamedCost {
 	return []NamedCost{
 		{Name: "cdd.CostArrays", Cost: func(in *problem.Instance, seq []int) (int64, error) {
-			p, a, b := cdd.ParamArrays(in)
-			return cdd.CostArrays(seq, p, a, b, in.D), nil
+			s := core.NewSoAInstance(in)
+			return cdd.CostArrays(seq, s.P, s.Alpha, s.Beta, s.D), nil
 		}},
 		{Name: "cdd.OptimizeArrays", Cost: func(in *problem.Instance, seq []int) (int64, error) {
-			p, a, b := cdd.ParamArrays(in)
-			comp := make([]int64, len(seq))
-			c, _, _, _ := cdd.OptimizeArrays(seq, p, a, b, in.D, comp)
+			s := core.NewSoAInstance(in)
+			c, _, _, _ := cdd.OptimizeArrays(seq, s.P, s.Alpha, s.Beta, s.D, make([]int64, len(seq)))
 			return c, nil
 		}},
-		{Name: "core.Evaluator", Cost: func(in *problem.Instance, seq []int) (int64, error) {
-			return core.NewEvaluator(in).Cost(seq), nil
-		}},
-		{Name: "cdd.Delta.Reset", Cost: func(in *problem.Instance, seq []int) (int64, error) {
-			return cdd.NewDeltaEvaluator(in).Reset(seq), nil
-		}},
+		{Name: "cdd.Delta.Reset", Cost: deltaResetCost},
 		{Name: "cdd.Delta.Propose", Cost: deltaProposeCost},
 		{Name: "core.BatchEvaluator.Cost", Cost: batchCost},
 		{Name: "batch.CostRows", Cost: batchRowsCost},
@@ -121,18 +111,10 @@ func cddEvaluators() []NamedCost {
 
 func ucddcpEvaluators() []NamedCost {
 	return []NamedCost{
-		{Name: "ucddcp.Evaluator", Cost: func(in *problem.Instance, seq []int) (int64, error) {
-			return ucddcp.NewEvaluator(in).Cost(seq), nil
-		}},
 		{Name: "ucddcp.OptimizeSequence", Cost: func(in *problem.Instance, seq []int) (int64, error) {
 			return ucddcp.OptimizeSequence(in, seq).Cost, nil
 		}},
-		{Name: "core.Evaluator", Cost: func(in *problem.Instance, seq []int) (int64, error) {
-			return core.NewEvaluator(in).Cost(seq), nil
-		}},
-		{Name: "ucddcp.Delta.Reset", Cost: func(in *problem.Instance, seq []int) (int64, error) {
-			return ucddcp.NewDeltaEvaluator(in).Reset(seq), nil
-		}},
+		{Name: "ucddcp.Delta.Reset", Cost: deltaResetCost},
 		{Name: "ucddcp.Delta.Propose", Cost: deltaProposeCost},
 		{Name: "core.BatchEvaluator.Cost", Cost: batchCost},
 		{Name: "batch.CostRows", Cost: batchRowsCost},
@@ -229,6 +211,13 @@ func batchFitness32Cost(in *problem.Instance, seq []int) (int64, error) {
 			costs[0], ops[0], wantCost, wantOps, seq)
 	}
 	return costs[0], nil
+}
+
+// deltaResetCost prices seq through the delta evaluator's Reset full
+// pass: the kind's delta core, or the machine-granular evaluator on
+// genome-coded instances.
+func deltaResetCost(in *problem.Instance, seq []int) (int64, error) {
+	return core.NewDeltaEvaluator(in).Reset(seq), nil
 }
 
 // deltaProposeCost prices seq through the incremental Propose path from a

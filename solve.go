@@ -9,10 +9,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cdd"
 	"repro/internal/core"
 	"repro/internal/problem"
-	"repro/internal/ucddcp"
 )
 
 // Sentinel errors of the facade. Every error returned by SolveContext,
@@ -359,16 +357,7 @@ func OptimizeSequence(in *Instance, seq []int) (Schedule, int64, error) {
 	if len(seq) != in.GenomeLen() || !problem.IsPermutation(seq) {
 		return Schedule{}, 0, fmt.Errorf("duedate: %w: seq must be a permutation of 0..%d", ErrInvalidSequence, in.GenomeLen()-1)
 	}
-	if in.GenomeCoded() {
-		sched := core.GenomeSchedule(in, append([]int(nil), seq...))
-		return sched, core.NewEvaluator(in).Cost(seq), nil
-	}
-	if in.Kind == problem.UCDDCP {
-		r := ucddcp.OptimizeSequence(in, seq)
-		return Schedule{Seq: append([]int(nil), seq...), Start: r.Start, X: r.X}, r.Cost, nil
-	}
-	r := cdd.OptimizeSequence(in, seq)
-	return Schedule{Seq: append([]int(nil), seq...), Start: r.Start}, r.Cost, nil
+	return core.GenomeSchedule(in, append([]int(nil), seq...)), core.NewEvaluator(in).Cost(seq), nil
 }
 
 // Cost evaluates the optimal penalty of a solution without materializing
